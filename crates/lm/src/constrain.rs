@@ -11,11 +11,11 @@
 //! warns about.
 
 use crate::error::LmError;
-use crate::generate::GenerateSpec;
+use crate::generate::{decode_step_from, GenerateSpec};
 use crate::induction::prior::{value_state, ValueState};
 use crate::model::LanguageModel;
-use crate::sampler::Sampler;
-use crate::trace::{GenStep, GenerationTrace, TokenAlt};
+use crate::sampler::StepBuffers;
+use crate::trace::GenerationTrace;
 use lmpeel_stats::{seeded_rng, SeedDomain};
 use lmpeel_tokenizer::{TokenId, Tokenizer};
 use std::sync::Arc;
@@ -98,8 +98,9 @@ impl LogitConstraint for ValueGrammar {
 
 /// The decoding loop with a [`LogitConstraint`] applied at every step.
 /// Identical trace semantics to [`crate::generate::generate`], over the
-/// constrained distribution. Drives an incremental [`DecodeSession`](crate::DecodeSession), so
-/// the constraint's mask is the only per-step full-vocabulary pass.
+/// constrained distribution: the masked logits go through the same step
+/// function `generate` uses. Drives an incremental
+/// [`DecodeSession`](crate::DecodeSession).
 pub fn generate_constrained<M, C>(
     model: &Arc<M>,
     prompt: &[TokenId],
@@ -117,35 +118,19 @@ where
     let mut steps = Vec::new();
     let mut stopped_naturally = false;
     let tokenizer = model.tokenizer();
+    let mut logits = Vec::new();
+    let mut bufs = StepBuffers::default();
 
     for _ in 0..spec.max_tokens {
-        let mut logits = session.logits();
+        session.logits_into(&mut logits);
         constraint.mask(session.tokens(), tokenizer, &mut logits);
-        let trace_sampler = Sampler {
-            temperature: 1.0,
-            top_k: 0,
-            top_p: 1.0,
-        };
-        let dist = trace_sampler.distribution(&logits);
-        if dist.is_empty() {
-            return Err(LmError::EmptyVocab);
+        match decode_step_from(&mut *session, &logits, spec, &mut rng, &mut bufs)? {
+            Some(step) => steps.push(step),
+            None => {
+                stopped_naturally = true;
+                break;
+            }
         }
-        let (chosen, chosen_prob) = spec.sampler.sample(&logits, &mut rng);
-        if spec.stop_tokens.contains(&chosen) {
-            stopped_naturally = true;
-            break;
-        }
-        let alternatives: Vec<TokenAlt> = dist
-            .into_iter()
-            .filter(|&(_, p)| p >= spec.trace_min_prob)
-            .map(|(id, prob)| TokenAlt { id, prob })
-            .collect();
-        steps.push(GenStep {
-            chosen,
-            chosen_prob,
-            alternatives,
-        });
-        session.append(chosen);
     }
     Ok(GenerationTrace {
         prompt_len: prompt.len(),

@@ -16,7 +16,7 @@
 
 use crate::error::{LmError, MAX_TOKEN_BUDGET};
 use crate::model::LanguageModel;
-use crate::sampler::Sampler;
+use crate::sampler::{Sampler, StepBuffers};
 use crate::session::DecodeSession;
 use crate::trace::{GenStep, GenerationTrace, TokenAlt};
 use lmpeel_stats::{seeded_rng, SeedDomain};
@@ -182,6 +182,14 @@ impl GenerateSpecBuilder {
     }
 }
 
+/// The sampler the trace records: the raw softmax, before temperature,
+/// top-k and top-p.
+const TRACE_SAMPLER: Sampler = Sampler {
+    temperature: 1.0,
+    top_k: 0,
+    top_p: 1.0,
+};
+
 /// One decode step over a session: record the raw distribution, sample,
 /// honor stop tokens, append. Returns `Ok(Some(step))` when a token was
 /// generated, `Ok(None)` when a stop token ended generation.
@@ -197,40 +205,42 @@ fn decode_step(
     spec: &GenerateSpec,
     rng: &mut ChaCha8Rng,
     logits_buf: &mut Vec<f32>,
+    bufs: &mut StepBuffers,
 ) -> Result<Option<GenStep>, LmError> {
     session.logits_into(logits_buf);
-    decode_step_from(session, logits_buf, spec, rng)
+    decode_step_from(session, logits_buf, spec, rng, bufs)
 }
 
 /// The sampling half of [`decode_step`], over logits the caller already
 /// computed (`logits` must be the session's current next-token logits —
 /// the batched decode path computes them for a whole group in one fused
-/// forward pass). Splitting here keeps batched and single-lane decoding
-/// byte-identical by construction: everything that consumes RNG state or
-/// mutates the session lives in this one function.
-fn decode_step_from(
+/// forward pass, and constrained decoding masks them first). Splitting
+/// here keeps every decode loop byte-identical by construction:
+/// everything that consumes RNG state or mutates the session lives in this
+/// one function.
+///
+/// The vocabulary is sorted once; the draw and the trace are both derived
+/// from that one order. An empty vocabulary is reported before any RNG
+/// state is consumed.
+pub(crate) fn decode_step_from(
     session: &mut dyn DecodeSession,
     logits: &[f32],
     spec: &GenerateSpec,
     rng: &mut ChaCha8Rng,
+    bufs: &mut StepBuffers,
 ) -> Result<Option<GenStep>, LmError> {
-    let trace_sampler = Sampler {
-        temperature: 1.0,
-        top_k: 0,
-        top_p: 1.0,
-    };
-    let dist = trace_sampler.distribution(logits);
-    if dist.is_empty() {
+    if !bufs.sort(logits) {
         return Err(LmError::EmptyVocab);
     }
-    let (chosen, chosen_prob) = spec.sampler.sample(logits, rng);
+    let (chosen, chosen_prob) = bufs.draw(&spec.sampler, rng);
     if spec.stop_tokens.contains(&chosen) {
         return Ok(None);
     }
-    let alternatives: Vec<TokenAlt> = dist
-        .into_iter()
-        .filter(|&(_, p)| p >= spec.trace_min_prob)
-        .map(|(id, prob)| TokenAlt { id, prob })
+    let alternatives: Vec<TokenAlt> = bufs
+        .distribution(&TRACE_SAMPLER)
+        .iter()
+        .filter(|&&(_, p)| p >= spec.trace_min_prob)
+        .map(|&(id, prob)| TokenAlt { id, prob })
         .collect();
     session.append(chosen);
     Ok(Some(GenStep {
@@ -274,11 +284,12 @@ pub fn generate_session(
     let mut rng = seeded_rng(spec.seed, SeedDomain::Sampling(prompt_len as u64));
     let mut steps = Vec::new();
     let mut stopped_naturally = false;
-    // One vocab-wide buffer for the whole generation.
+    // Vocab-wide buffers for the whole generation.
     let mut logits_buf = Vec::new();
+    let mut bufs = StepBuffers::default();
 
     for _ in 0..spec.max_tokens {
-        match decode_step(session, spec, &mut rng, &mut logits_buf)? {
+        match decode_step(session, spec, &mut rng, &mut logits_buf, &mut bufs)? {
             Some(step) => steps.push(step),
             None => {
                 stopped_naturally = true;
@@ -316,6 +327,8 @@ pub struct GenerationStepper {
     /// Vocab-wide logits buffer reused across steps (no per-token
     /// allocation on the single-lane path).
     logits_buf: Vec<f32>,
+    /// Sort and probability buffers reused across steps.
+    bufs: StepBuffers,
 }
 
 impl GenerationStepper {
@@ -336,6 +349,7 @@ impl GenerationStepper {
             finished: false,
             errored: false,
             logits_buf: Vec::new(),
+            bufs: StepBuffers::default(),
         })
     }
 
@@ -346,11 +360,13 @@ impl GenerationStepper {
         if self.finished {
             return Ok(false);
         }
-        // Detach the buffer so the session borrow and the buffer borrow
-        // don't overlap; reattached below, capacity intact.
-        let mut buf = std::mem::take(&mut self.logits_buf);
-        let result = decode_step(self.session.as_mut(), &self.spec, &mut self.rng, &mut buf);
-        self.logits_buf = buf;
+        let result = decode_step(
+            self.session.as_mut(),
+            &self.spec,
+            &mut self.rng,
+            &mut self.logits_buf,
+            &mut self.bufs,
+        );
         self.settle(result)
     }
 
@@ -368,7 +384,13 @@ impl GenerationStepper {
         if self.finished {
             return Ok(false);
         }
-        let result = decode_step_from(self.session.as_mut(), logits, &self.spec, &mut self.rng);
+        let result = decode_step_from(
+            self.session.as_mut(),
+            logits,
+            &self.spec,
+            &mut self.rng,
+            &mut self.bufs,
+        );
         self.settle(result)
     }
 
@@ -570,6 +592,7 @@ where
     let mut steps = Vec::new();
     let mut stopped_naturally = false;
     let mut logits_buf = Vec::new();
+    let mut bufs = StepBuffers::default();
     let tokenizer = model.tokenizer();
 
     while steps.len() < spec.max_tokens {
@@ -592,7 +615,7 @@ where
                 continue;
             }
         }
-        match decode_step(&mut *session, spec, &mut rng, &mut logits_buf)? {
+        match decode_step(&mut *session, spec, &mut rng, &mut logits_buf, &mut bufs)? {
             Some(step) => steps.push(step),
             None => {
                 stopped_naturally = true;
@@ -1216,5 +1239,169 @@ mod tests {
         };
         let trace = generate(&m, &prompt, &spec).unwrap();
         assert!(trace.steps.len() <= 3);
+    }
+}
+
+/// The shared-order step against the two-sort step it replaced.
+#[cfg(test)]
+mod shared_order_equivalence {
+    use super::*;
+    use crate::sampler::reference;
+    use proptest::prelude::*;
+    use rand::RngCore;
+
+    /// The decode step before the shared order: a full sort for the trace,
+    /// then another inside the sampler.
+    fn reference_step(
+        logits: &[f32],
+        spec: &GenerateSpec,
+        rng: &mut ChaCha8Rng,
+    ) -> Result<Option<GenStep>, LmError> {
+        let dist = reference::distribution(&TRACE_SAMPLER, logits);
+        if dist.is_empty() {
+            return Err(LmError::EmptyVocab);
+        }
+        let (chosen, chosen_prob) = reference::sample(&spec.sampler, logits, rng);
+        if spec.stop_tokens.contains(&chosen) {
+            return Ok(None);
+        }
+        let alternatives = dist
+            .into_iter()
+            .filter(|&(_, p)| p >= spec.trace_min_prob)
+            .map(|(id, prob)| TokenAlt { id, prob })
+            .collect();
+        Ok(Some(GenStep {
+            chosen,
+            chosen_prob,
+            alternatives,
+        }))
+    }
+
+    /// A session that only records its tokens.
+    #[derive(Clone)]
+    struct Tape(Vec<TokenId>);
+
+    impl DecodeSession for Tape {
+        fn tokens(&self) -> &[TokenId] {
+            &self.0
+        }
+        fn append(&mut self, token: TokenId) {
+            self.0.push(token);
+        }
+        fn logits(&self) -> Vec<f32> {
+            unreachable!("the step is handed its logits")
+        }
+        fn fork(&self) -> Box<dyn DecodeSession> {
+            Box::new(self.clone())
+        }
+    }
+
+    type StepBits = Option<(TokenId, u32, Vec<(TokenId, u32)>)>;
+
+    /// A step's outcome with every probability as its bit pattern.
+    fn bits(r: Result<Option<GenStep>, LmError>) -> Result<StepBits, LmError> {
+        r.map(|step| {
+            step.map(|s| {
+                let alts = s
+                    .alternatives
+                    .iter()
+                    .map(|a| (a.id, a.prob.to_bits()))
+                    .collect();
+                (s.chosen, s.chosen_prob.to_bits(), alts)
+            })
+        })
+    }
+
+    fn dist_bits(d: &[(TokenId, f32)]) -> Vec<(TokenId, u32)> {
+        d.iter().map(|&(t, p)| (t, p.to_bits())).collect()
+    }
+
+    fn sampler(kind: usize) -> Sampler {
+        match kind {
+            0 => Sampler::greedy(),
+            1 => Sampler::paper(),
+            2 => Sampler {
+                temperature: 0.8,
+                top_k: 3,
+                top_p: 1.0,
+            },
+            _ => Sampler {
+                temperature: 1.3,
+                top_k: 0,
+                top_p: 0.5,
+            },
+        }
+    }
+
+    /// Logits rich in the cases an order can get wrong: ±0.0 ties, repeated
+    /// values, and non-finite entries.
+    fn arb_logit() -> BoxedStrategy<f32> {
+        prop_oneof![
+            6 => (-8.0f32..8.0).prop_map(|x| x),
+            3 => (0u32..4).prop_map(|i| i as f32 * 0.5 - 1.0),
+            2 => Just(0.0f32),
+            2 => Just(-0.0f32),
+            1 => Just(f32::NEG_INFINITY),
+            1 => Just(f32::INFINITY),
+            1 => Just(f32::NAN),
+        ]
+        .boxed()
+    }
+
+    proptest! {
+        #[test]
+        fn shared_order_step_is_bitwise_the_two_sort_step(
+            raw in proptest::collection::vec(arb_logit(), 1..=2048usize),
+            // 4: one finite logit; 5: none finite; otherwise as drawn.
+            support in 0usize..6,
+            keep in 0usize..2048,
+            kind in 0usize..4,
+            stop in 0u32..8,
+            floor in 0usize..2,
+            seed in 0u64..1024,
+        ) {
+            let mut logits = raw;
+            let keep = keep % logits.len();
+            if support >= 4 {
+                for (i, l) in logits.iter_mut().enumerate() {
+                    if support == 5 || i != keep {
+                        *l = f32::NEG_INFINITY;
+                    }
+                }
+                if support == 4 && !logits[keep].is_finite() {
+                    logits[keep] = -0.0;
+                }
+            }
+            let spec = GenerateSpec {
+                sampler: sampler(kind),
+                stop_tokens: vec![stop],
+                trace_min_prob: [0.0, 1e-3][floor],
+                ..GenerateSpec::paper(seed)
+            };
+
+            let mut rng = seeded_rng(seed, SeedDomain::Sampling(7));
+            let mut ref_rng = rng.clone();
+            let mut tape = Tape(Vec::new());
+            let mut bufs = StepBuffers::default();
+            let got = decode_step_from(&mut tape, &logits, &spec, &mut rng, &mut bufs);
+            let want = reference_step(&logits, &spec, &mut ref_rng);
+            let appended = matches!(want, Ok(Some(_)));
+            prop_assert_eq!(bits(got), bits(want));
+            prop_assert_eq!(rng.next_u64(), ref_rng.next_u64(), "RNG state diverged");
+            prop_assert_eq!(tape.0.len(), usize::from(appended));
+
+            // The public API takes the same path.
+            let s = spec.sampler;
+            prop_assert_eq!(
+                dist_bits(&s.distribution(&logits)),
+                dist_bits(&reference::distribution(&s, &logits))
+            );
+            if logits.iter().any(|l| l.is_finite()) {
+                let (t, p) = s.sample(&logits, &mut rng);
+                let (rt, rp) = reference::sample(&s, &logits, &mut ref_rng);
+                prop_assert_eq!((t, p.to_bits()), (rt, rp.to_bits()));
+                prop_assert_eq!(rng.next_u64(), ref_rng.next_u64(), "RNG state diverged");
+            }
+        }
     }
 }

@@ -40,6 +40,154 @@ impl Sampler {
     /// top-k/top-p filtering, as `(token, probability)` pairs sorted by
     /// descending probability. Tokens with `-inf` logits never appear.
     pub fn distribution(&self, logits: &[f32]) -> Vec<(TokenId, f32)> {
+        let mut bufs = StepBuffers::default();
+        bufs.sort(logits);
+        bufs.distribution(self);
+        bufs.probs
+    }
+
+    /// Draw one token. Returns the chosen token and its (filtered,
+    /// renormalized) probability.
+    ///
+    /// # Panics
+    /// Panics if every logit is `-inf` (the model refused everything).
+    pub fn sample(&self, logits: &[f32], rng: &mut ChaCha8Rng) -> (TokenId, f32) {
+        let mut bufs = StepBuffers::default();
+        assert!(bufs.sort(logits), "cannot sample: all logits are -inf");
+        bufs.draw(self, rng)
+    }
+}
+
+/// Vocabulary-wide buffers for one decode step: the step's finite logits
+/// in one shared order, and a probability buffer that each distribution
+/// derived from that order is written into. A decode loop keeps one
+/// instance across steps, so a step allocates nothing vocabulary-wide.
+#[derive(Default)]
+pub(crate) struct StepBuffers {
+    /// `(id, logit)` of every finite logit, by descending logit, ties by
+    /// ascending id.
+    order: Vec<(TokenId, f32)>,
+    /// Sort keys of the finite logits (see [`order_key`]).
+    keys: Vec<u64>,
+    /// The last distribution computed from `order`.
+    probs: Vec<(TokenId, f32)>,
+}
+
+/// Sort key of a finite logit: ascending keys are descending logits, ties
+/// broken by ascending id. `l + 0.0` folds `-0.0` onto `0.0`, so this is
+/// exactly the `partial_cmp`-then-id order, and every key is unique.
+fn order_key(id: TokenId, l: f32) -> u64 {
+    let bits = (l + 0.0).to_bits();
+    // Map the IEEE bits to an unsigned integer that sorts like the float.
+    let ascending = if bits >> 31 == 1 {
+        !bits
+    } else {
+        bits | 1 << 31
+    };
+    u64::from(!ascending) << 32 | u64::from(id)
+}
+
+impl StepBuffers {
+    /// Sort the finite entries of `logits` into the shared order. Returns
+    /// `false` when no logit is finite (an empty order).
+    pub(crate) fn sort(&mut self, logits: &[f32]) -> bool {
+        self.keys.clear();
+        self.keys.extend(
+            logits
+                .iter()
+                .enumerate()
+                .filter(|(_, l)| l.is_finite())
+                .map(|(i, &l)| order_key(i as TokenId, l)),
+        );
+        self.keys.sort_unstable();
+        self.order.clear();
+        self.order.extend(self.keys.iter().map(|&k| {
+            // The low half of a key is its id.
+            let id = k as TokenId;
+            (id, logits[id as usize])
+        }));
+        !self.order.is_empty()
+    }
+
+    /// `sampler`'s distribution over the sorted order (see
+    /// [`Sampler::distribution`]), written into the probability buffer.
+    pub(crate) fn distribution(&mut self, sampler: &Sampler) -> &[(TokenId, f32)] {
+        let probs = &mut self.probs;
+        probs.clear();
+        let Some(&(top, max)) = self.order.first() else {
+            return probs;
+        };
+        if sampler.temperature <= 0.0 {
+            probs.push((top, 1.0));
+            return probs;
+        }
+
+        // Stable softmax with temperature.
+        let mut sum = 0.0f32;
+        probs.extend(self.order.iter().map(|&(t, l)| {
+            let p = ((l - max) / sampler.temperature).exp();
+            sum += p;
+            (t, p)
+        }));
+        for p in probs.iter_mut() {
+            p.1 /= sum;
+        }
+
+        if sampler.top_k > 0 && probs.len() > sampler.top_k {
+            probs.truncate(sampler.top_k);
+        }
+        if sampler.top_p < 1.0 {
+            let mut cum = 0.0;
+            let mut keep = probs.len();
+            for (i, &(_, p)) in probs.iter().enumerate() {
+                cum += p;
+                if cum >= sampler.top_p {
+                    keep = i + 1;
+                    break;
+                }
+            }
+            probs.truncate(keep);
+        }
+        // Renormalize after filtering.
+        let z: f32 = probs.iter().map(|&(_, p)| p).sum();
+        for p in probs.iter_mut() {
+            p.1 /= z;
+        }
+        probs
+    }
+
+    /// Draw one token from `sampler`'s distribution over a non-empty
+    /// sorted order. Consumes exactly one uniform from `rng`, greedy
+    /// included.
+    pub(crate) fn draw(&mut self, sampler: &Sampler, rng: &mut ChaCha8Rng) -> (TokenId, f32) {
+        let dist = self.distribution(sampler);
+        let u: f32 = rng.random();
+        let mut cum = 0.0;
+        for &(t, p) in dist {
+            cum += p;
+            if u <= cum {
+                return (t, p);
+            }
+        }
+        *dist.last().expect("draw needs a non-empty order")
+    }
+}
+
+impl Default for Sampler {
+    fn default() -> Self {
+        Self::paper()
+    }
+}
+
+/// The sampler before the shared sort: a `partial_cmp` sort and softmax
+/// per call. Kept only as the reference the shared-order path is checked
+/// against, bit for bit.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::*;
+
+    /// [`Sampler::distribution`] as a fresh sort and softmax.
+    pub(crate) fn distribution(s: &Sampler, logits: &[f32]) -> Vec<(TokenId, f32)> {
         let mut pairs: Vec<(TokenId, f32)> = logits
             .iter()
             .enumerate()
@@ -51,17 +199,16 @@ impl Sampler {
         }
         pairs.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
 
-        if self.temperature <= 0.0 {
+        if s.temperature <= 0.0 {
             return vec![(pairs[0].0, 1.0)];
         }
 
-        // Stable softmax with temperature.
         let max = pairs[0].1;
         let mut sum = 0.0f32;
         let mut probs: Vec<(TokenId, f32)> = pairs
             .into_iter()
             .map(|(t, l)| {
-                let p = ((l - max) / self.temperature).exp();
+                let p = ((l - max) / s.temperature).exp();
                 sum += p;
                 (t, p)
             })
@@ -70,22 +217,21 @@ impl Sampler {
             p.1 /= sum;
         }
 
-        if self.top_k > 0 && probs.len() > self.top_k {
-            probs.truncate(self.top_k);
+        if s.top_k > 0 && probs.len() > s.top_k {
+            probs.truncate(s.top_k);
         }
-        if self.top_p < 1.0 {
+        if s.top_p < 1.0 {
             let mut cum = 0.0;
             let mut keep = probs.len();
             for (i, &(_, p)) in probs.iter().enumerate() {
                 cum += p;
-                if cum >= self.top_p {
+                if cum >= s.top_p {
                     keep = i + 1;
                     break;
                 }
             }
             probs.truncate(keep);
         }
-        // Renormalize after filtering.
         let z: f32 = probs.iter().map(|&(_, p)| p).sum();
         for p in &mut probs {
             p.1 /= z;
@@ -93,13 +239,9 @@ impl Sampler {
         probs
     }
 
-    /// Draw one token. Returns the chosen token and its (filtered,
-    /// renormalized) probability.
-    ///
-    /// # Panics
-    /// Panics if every logit is `-inf` (the model refused everything).
-    pub fn sample(&self, logits: &[f32], rng: &mut ChaCha8Rng) -> (TokenId, f32) {
-        let dist = self.distribution(logits);
+    /// [`Sampler::sample`] over [`distribution`].
+    pub(crate) fn sample(s: &Sampler, logits: &[f32], rng: &mut ChaCha8Rng) -> (TokenId, f32) {
+        let dist = distribution(s, logits);
         assert!(!dist.is_empty(), "cannot sample: all logits are -inf");
         let u: f32 = rng.random();
         let mut cum = 0.0;
@@ -110,12 +252,6 @@ impl Sampler {
             }
         }
         *dist.last().expect("non-empty")
-    }
-}
-
-impl Default for Sampler {
-    fn default() -> Self {
-        Self::paper()
     }
 }
 

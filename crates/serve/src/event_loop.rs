@@ -171,7 +171,7 @@ impl ExtQueue {
     }
 
     /// Next job, parking until one arrives; `None` once closed and empty.
-    fn pop(&self) -> Option<ExtJob> {
+    fn next_job(&self) -> Option<ExtJob> {
         let mut s = self.extq.lock();
         loop {
             if let Some(job) = s.jobs.pop_front() {
@@ -194,7 +194,7 @@ impl ExtQueue {
 /// Worker-pool thread body: run handler calls (panics contained) and
 /// route completions back to the owning loop.
 pub(crate) fn run_ext_worker(queue: Arc<ExtQueue>, handler: Arc<dyn ExtensionHandler>) {
-    while let Some(job) = queue.pop() {
+    while let Some(job) = queue.next_job() {
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             handler.handle(job.kind, &job.payload)
         }))

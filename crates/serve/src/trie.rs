@@ -59,6 +59,21 @@ impl TrieStats {
 struct Node {
     children: HashMap<TokenId, usize>,
     snapshot: Option<Snapshot>,
+    /// The node this one hangs under (the root points at itself).
+    parent: usize,
+    /// The token on the edge from `parent`.
+    token: TokenId,
+}
+
+impl Node {
+    fn new(parent: usize, token: TokenId) -> Self {
+        Self {
+            children: HashMap::new(),
+            snapshot: None,
+            parent,
+            token,
+        }
+    }
 }
 
 struct Snapshot {
@@ -67,12 +82,20 @@ struct Snapshot {
 }
 
 /// The prefix cache. One per registered substrate.
+///
+/// Only nodes on a path to a live snapshot exist: evicting a snapshot
+/// prunes the branch that led only to it, and pruned slots are reused, so
+/// the arena stays bounded by the live prompts' total length however many
+/// distinct prompts pass through.
 pub struct PrefixTrie {
     /// Arena of nodes; index 0 is the root (empty prefix).
     nodes: Vec<Node>,
+    /// Pruned arena slots, reused before the arena grows.
+    free: Vec<usize>,
+    /// The nodes that hold a snapshot, so eviction scans only those.
+    cached: Vec<usize>,
     /// Maximum live snapshots; 0 disables caching entirely.
     capacity: usize,
-    live: usize,
     tick: u64,
     stats: TrieStats,
 }
@@ -81,12 +104,10 @@ impl PrefixTrie {
     /// Empty trie holding at most `capacity` snapshots.
     pub fn new(capacity: usize) -> Self {
         Self {
-            nodes: vec![Node {
-                children: HashMap::new(),
-                snapshot: None,
-            }],
+            nodes: vec![Node::new(0, 0)],
+            free: Vec::new(),
+            cached: Vec::new(),
             capacity,
-            live: 0,
             tick: 0,
             stats: TrieStats::default(),
         }
@@ -150,11 +171,17 @@ impl PrefixTrie {
             node = match self.nodes[node].children.get(&t) {
                 Some(&next) => next,
                 None => {
-                    let next = self.nodes.len();
-                    self.nodes.push(Node {
-                        children: HashMap::new(),
-                        snapshot: None,
-                    });
+                    let child = Node::new(node, t);
+                    let next = match self.free.pop() {
+                        Some(slot) => {
+                            self.nodes[slot] = child;
+                            slot
+                        }
+                        None => {
+                            self.nodes.push(child);
+                            self.nodes.len() - 1
+                        }
+                    };
                     self.nodes[node].children.insert(t, next);
                     next
                 }
@@ -167,8 +194,8 @@ impl PrefixTrie {
             last_used: self.tick,
         });
         if fresh {
-            self.live += 1;
-            if self.live > self.capacity {
+            self.cached.push(node);
+            if self.cached.len() > self.capacity {
                 self.evict_lru(node);
             }
         }
@@ -187,26 +214,36 @@ impl PrefixTrie {
 
     /// Number of live snapshots.
     pub fn len(&self) -> usize {
-        self.live
+        self.cached.len()
     }
 
     /// True when no snapshots are cached.
     pub fn is_empty(&self) -> bool {
-        self.live == 0
+        self.cached.is_empty()
     }
 
+    /// Drop the least-recently-used snapshot other than `keep`'s, then
+    /// prune the nodes that led only to it.
     fn evict_lru(&mut self, keep: usize) {
         let victim = self
-            .nodes
+            .cached
             .iter()
             .enumerate()
-            .filter(|&(i, n)| i != keep && n.snapshot.is_some())
-            .min_by_key(|(_, n)| n.snapshot.as_ref().expect("filtered").last_used)
-            .map(|(i, _)| i);
-        if let Some(i) = victim {
-            self.nodes[i].snapshot = None;
-            self.live -= 1;
-            self.stats.evictions += 1;
+            .filter(|&(_, &n)| n != keep)
+            .min_by_key(|&(_, &n)| self.nodes[n].snapshot.as_ref().map(|s| s.last_used))
+            .map(|(k, _)| k);
+        let Some(k) = victim else { return };
+        let mut node = self.cached.swap_remove(k);
+        self.nodes[node].snapshot = None;
+        self.stats.evictions += 1;
+        while node != 0
+            && self.nodes[node].snapshot.is_none()
+            && self.nodes[node].children.is_empty()
+        {
+            let Node { parent, token, .. } = self.nodes[node];
+            self.nodes[parent].children.remove(&token);
+            self.free.push(node);
+            node = parent;
         }
     }
 }
@@ -214,6 +251,7 @@ impl PrefixTrie {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     /// A trivial session for trie tests: tokens only, no model.
     #[derive(Clone)]
@@ -337,11 +375,168 @@ mod tests {
         assert_eq!(trie.stats().partial_hits, 1);
     }
 
+    /// Arena slots in use: every node reachable from the root.
+    fn live_nodes(trie: &PrefixTrie) -> usize {
+        trie.nodes.len() - trie.free.len()
+    }
+
+    #[test]
+    fn eviction_prunes_the_path_and_reuses_its_slots() {
+        const CAPACITY: usize = 4;
+        const MAX_LEN: usize = 15;
+        let mut trie = PrefixTrie::new(CAPACITY);
+        let mut live: Vec<Vec<TokenId>> = Vec::new();
+        for i in 0..10_000u32 {
+            // Distinct prompts of varying length, often sharing a prefix.
+            let len = 3 + i as usize % (MAX_LEN - 2);
+            let prompt: Vec<TokenId> = (0..len as u32).map(|d| (i % 7) * d + i * (d / 2)).collect();
+            trie.insert(&prompt, StubSession::over(&prompt));
+            live.push(prompt);
+            if live.len() > CAPACITY {
+                live.remove(0); // insert-only traffic evicts in FIFO order
+            }
+            let bound = 1 + live.iter().map(Vec::len).sum::<usize>();
+            assert!(
+                live_nodes(&trie) <= bound,
+                "{} nodes in use with only {bound} live",
+                live_nodes(&trie)
+            );
+            // The arena peaks while one prompt over capacity awaits eviction.
+            assert!(trie.nodes.len() <= 1 + (CAPACITY + 1) * MAX_LEN);
+        }
+        assert_eq!(trie.len(), CAPACITY);
+        assert_eq!(trie.stats().evictions, 10_000 - CAPACITY as u64);
+        for p in &live {
+            let (s, reused) = trie.lookup(p).expect("live prompts stay cached");
+            assert_eq!((s.tokens(), reused), (&p[..], p.len()));
+        }
+    }
+
+    #[test]
+    fn pruning_keeps_shared_prefixes_and_deeper_snapshots() {
+        let mut trie = PrefixTrie::new(2);
+        trie.insert(&[1, 2], StubSession::over(&[1, 2]));
+        trie.insert(&[1, 2, 3, 4], StubSession::over(&[1, 2, 3, 4]));
+        // Evicts [1, 2]: its node still leads to [1, 2, 3, 4], so it stays.
+        trie.insert(&[1, 5], StubSession::over(&[1, 5]));
+        assert_eq!(live_nodes(&trie), 1 + 4 + 1);
+        // Evicts [1, 2, 3, 4]: prunes 4, 3 and 2, but not the shared 1.
+        trie.insert(&[9], StubSession::over(&[9]));
+        assert_eq!(live_nodes(&trie), 1 + 2 + 1);
+        let (_, reused) = trie.lookup(&[1, 5, 7]).expect("partial hit");
+        assert_eq!(reused, 2);
+        assert!(trie.lookup(&[1, 2]).is_none());
+    }
+
     #[test]
     fn prefill_ledger_accumulates() {
         let mut trie = PrefixTrie::new(1);
         trie.note_prefilled(10);
         trie.note_prefilled(5);
         assert_eq!(trie.stats().tokens_prefilled, 15);
+    }
+
+    /// The reference for the pruning trie: cached prompts with their
+    /// last-use ticks, evicted LRU and never pruned.
+    struct Reference {
+        capacity: usize,
+        entries: Vec<(Vec<TokenId>, u64)>,
+        tick: u64,
+        stats: TrieStats,
+    }
+
+    impl Reference {
+        fn lookup(&mut self, prompt: &[TokenId]) -> Option<usize> {
+            let Some(best) = self
+                .entries
+                .iter_mut()
+                .filter(|(p, _)| prompt.starts_with(p))
+                .max_by_key(|(p, _)| p.len())
+            else {
+                self.stats.misses += 1;
+                return None;
+            };
+            self.tick += 1;
+            best.1 = self.tick;
+            let depth = best.0.len();
+            if depth == prompt.len() {
+                self.stats.full_hits += 1;
+            } else {
+                self.stats.partial_hits += 1;
+            }
+            self.stats.tokens_reused += depth as u64;
+            Some(depth)
+        }
+
+        fn insert(&mut self, prompt: &[TokenId]) {
+            if self.capacity == 0 {
+                return;
+            }
+            self.tick += 1;
+            if let Some(e) = self.entries.iter_mut().find(|(p, _)| p == prompt) {
+                e.1 = self.tick;
+                return;
+            }
+            self.entries.push((prompt.to_vec(), self.tick));
+            if self.entries.len() > self.capacity {
+                let last = self.entries.len() - 1;
+                let (victim, _) = self.entries[..last]
+                    .iter()
+                    .enumerate()
+                    .min_by_key(|(_, (_, t))| *t)
+                    .expect("over capacity");
+                self.entries.remove(victim);
+                self.stats.evictions += 1;
+            }
+        }
+    }
+
+    /// One trie operation from a drawn code: `(insert?, prompt)`, the
+    /// prompt up to 5 tokens over a 3-token alphabet, so prompts collide
+    /// and share prefixes often.
+    fn op(code: u32) -> (bool, Vec<TokenId>) {
+        let len = (code / 2 % 6) as usize;
+        let mut digits = code / 12;
+        let prompt = (0..len)
+            .map(|_| {
+                let t = digits % 3;
+                digits /= 3;
+                t
+            })
+            .collect();
+        (code.is_multiple_of(2), prompt)
+    }
+
+    proptest! {
+        #[test]
+        fn pruning_trie_matches_a_non_pruning_reference(
+            capacity in 0usize..5,
+            codes in proptest::collection::vec(0u32..12 * 243, 1..80usize),
+        ) {
+            let ops: Vec<(bool, Vec<TokenId>)> = codes.into_iter().map(op).collect();
+            let mut trie = PrefixTrie::new(capacity);
+            let mut reference = Reference {
+                capacity,
+                entries: Vec::new(),
+                tick: 0,
+                stats: TrieStats::default(),
+            };
+            for (insert, prompt) in &ops {
+                if *insert {
+                    trie.insert(prompt, StubSession::over(prompt));
+                    reference.insert(prompt);
+                } else {
+                    let got = trie.lookup(prompt).map(|(s, depth)| {
+                        assert_eq!(s.tokens(), &prompt[..depth]);
+                        depth
+                    });
+                    prop_assert_eq!(got, reference.lookup(prompt));
+                }
+                prop_assert_eq!(trie.stats(), reference.stats);
+                prop_assert_eq!(trie.len(), reference.entries.len());
+                let bound = 1 + reference.entries.iter().map(|(p, _)| p.len()).sum::<usize>();
+                prop_assert!(trie.nodes.len() - trie.free.len() <= bound);
+            }
+        }
     }
 }

@@ -19,7 +19,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use lmpeel_lm::{GenerateSpec, InductionLm, LanguageModel, Sampler};
 use lmpeel_serve::faults::{silence_injected_panics, Fault, FaultyLm};
-use lmpeel_serve::{GenerateRequest, InferenceService};
+use lmpeel_serve::{GenerateRequest, InferenceService, LmService};
 use std::hint::black_box;
 use std::sync::Arc;
 

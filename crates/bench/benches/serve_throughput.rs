@@ -24,7 +24,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use lmpeel_lm::{generate, GenerateSpec, InductionLm, LanguageModel, Sampler};
-use lmpeel_serve::{GenerateRequest, InferenceService};
+use lmpeel_serve::{GenerateRequest, InferenceService, LmService};
 use lmpeel_transformer::InductionTransformer;
 use std::hint::black_box;
 use std::sync::Arc;

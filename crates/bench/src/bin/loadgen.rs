@@ -2,8 +2,8 @@
 //!
 //! Replays one synthesized trace — Poisson arrivals, Zipf-popular prompt
 //! groups, mixed per-request deadlines, all from a seeded RNG — against a
-//! single-shard [`InferenceService`] and a sharded [`ShardedService`]
-//! built with identical *per-shard* knobs, and reports completion
+//! one-shard [`InferenceService`] and a `--shards K` one built with
+//! identical *per-shard* knobs, and reports completion
 //! latencies (p50/p99/p999), shed/deadline counts, and goodput-under-SLO
 //! for each. `bench_out/loadgen.txt` records the full run.
 //!
@@ -469,8 +469,8 @@ fn build_single(p: &Params) -> InferenceService {
         .build()
 }
 
-fn build_sharded(p: &Params) -> ShardedService {
-    ShardedService::builder()
+fn build_sharded(p: &Params) -> InferenceService {
+    InferenceService::builder()
         .shards(p.shards)
         // One transformer replica per shard: each shard owns its
         // attention-weight memo instead of sharing one table.

@@ -10,20 +10,18 @@
 //! * [`RandomSearch`] — the no-model baseline;
 //! * [`GbdtSearch`] — a Bayesian-optimization-style loop with the
 //!   boosted-tree surrogate (fit on observations, rank a candidate pool,
-//!   evaluate the most promising candidate);
-//! * [`LlmSearch`] — the same loop with the LLM discriminative surrogate:
-//!   observations become in-context examples and each candidate is scored
-//!   by a generated runtime prediction (the LLAMBO recipe applied to HPC
-//!   autotuning).
+//!   evaluate the most promising candidate).
+//!
+//! The LLM discriminative surrogate — the same loop with observations as
+//! in-context examples and each candidate scored by a generated runtime
+//! prediction (the LLAMBO recipe applied to HPC autotuning) — is
+//! `lmpeel_tune::ServiceLlmSearch`, which scores each iteration's pool
+//! through an `lmpeel_serve::LmService`.
 
-use crate::extract::extract_value;
-use crate::prompt::PromptBuilder;
 use lmpeel_configspace::{ArraySize, Config, ConfigSpace};
 use lmpeel_gbdt::{Gbdt, GbdtParams};
-use lmpeel_lm::{generate, GenerateSpec, LanguageModel, Sampler};
 use lmpeel_perfdata::PerfDataset;
 use lmpeel_stats::{seeded_rng, SeedDomain};
-use lmpeel_tokenizer::EOS;
 
 /// Why an [`Objective`] could not produce a measurement: a journal commit
 /// failed, the deterministic crash hook fired, a kernel run was refused.
@@ -247,172 +245,10 @@ impl Tuner for GbdtSearch {
     }
 }
 
-/// LLM discriminative-surrogate search: observations become ICL examples;
-/// each iteration scores a small candidate set by generated runtime
-/// predictions and evaluates the minimum.
-pub struct LlmSearch<M> {
-    /// The language model used as surrogate.
-    pub model: std::sync::Arc<M>,
-    /// Random evaluations before the surrogate activates.
-    pub init_random: usize,
-    /// Candidates scored per iteration (each costs one generation).
-    pub pool: usize,
-    /// Most recent observations used as in-context examples.
-    pub max_icl: usize,
-}
-
-impl<M: LanguageModel> LlmSearch<M> {
-    fn predict(
-        &self,
-        builder: &PromptBuilder,
-        examples: &[(Config, f64)],
-        cand: &Config,
-        seed: u64,
-    ) -> f64 {
-        let prompt = builder.discriminative(examples, cand);
-        let t = self.model.tokenizer();
-        let ids = prompt.to_tokens(t);
-        let spec = GenerateSpec::builder()
-            .sampler(Sampler::paper())
-            .max_tokens(16)
-            .stop_tokens(vec![
-                t.vocab().token_id("\n").expect("newline"),
-                t.special(EOS),
-            ])
-            .trace_min_prob(1e-4)
-            .seed(seed)
-            .build()
-            .expect("valid surrogate spec");
-        let trace = generate(&self.model, &ids, &spec).expect("surrogate decode");
-        extract_value(&trace.decode(t))
-            .map(|(v, _)| v)
-            .unwrap_or(f64::INFINITY)
-    }
-}
-
-impl<M: LanguageModel> Tuner for LlmSearch<M> {
-    fn name(&self) -> String {
-        format!("llm-surrogate({})", self.model.name())
-    }
-
-    fn run(
-        &self,
-        objective: &mut dyn Objective,
-        budget: usize,
-        seed: u64,
-    ) -> Result<TuningTrajectory, ObjectiveError> {
-        let space = objective.space().clone();
-        let builder = PromptBuilder::new(space.clone(), objective.size());
-        let mut rng = seeded_rng(seed, SeedDomain::Custom(0x11A4));
-        let mut evaluated: Vec<(Config, f64)> = Vec::with_capacity(budget);
-        let mut seen = std::collections::HashSet::new();
-        for c in space.sample_distinct(self.init_random.min(budget), &mut rng) {
-            seen.insert(space.index_of(&c));
-            let r = objective.measure(&c)?;
-            evaluated.push((c, r));
-        }
-        let mut step = 0u64;
-        while evaluated.len() < budget {
-            let start = evaluated.len().saturating_sub(self.max_icl);
-            let examples = &evaluated[start..];
-            let pool = space.sample_distinct(self.pool, &mut rng);
-            let best = pool
-                .into_iter()
-                .filter(|c| !seen.contains(&space.index_of(c)))
-                .map(|c| {
-                    step += 1;
-                    let score = self.predict(&builder, examples, &c, seed ^ step);
-                    (c, score)
-                })
-                .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap());
-            let Some((c, _)) = best else { break };
-            seen.insert(space.index_of(&c));
-            let r = objective.measure(&c)?;
-            evaluated.push((c, r));
-        }
-        Ok(TuningTrajectory { evaluated })
-    }
-}
-
-/// LLAMBO candidate-sampling search: instead of scoring a random pool, each
-/// iteration asks the LLM to *propose* a configuration expected to achieve
-/// an aggressive target (better than the best observed so far), falling
-/// back to a random candidate when the proposal fails to parse or repeats
-/// an evaluated configuration. This is LLAMBO's "novel means of search
-/// relative to other techniques in the field", closed over the full loop.
-pub struct LlmCandidateSearch<M> {
-    /// The language model used to propose candidates.
-    pub model: std::sync::Arc<M>,
-    /// Random evaluations before the proposer activates.
-    pub init_random: usize,
-    /// Most recent observations shown as in-context examples.
-    pub max_icl: usize,
-    /// Target aggressiveness: ask for `best_so_far * improvement`.
-    pub improvement: f64,
-}
-
-impl<M: LanguageModel> Tuner for LlmCandidateSearch<M> {
-    fn name(&self) -> String {
-        format!("llm-candidate-sampling({})", self.model.name())
-    }
-
-    fn run(
-        &self,
-        objective: &mut dyn Objective,
-        budget: usize,
-        seed: u64,
-    ) -> Result<TuningTrajectory, ObjectiveError> {
-        let space = objective.space().clone();
-        let mut rng = seeded_rng(seed, SeedDomain::Custom(0x11A5));
-        let mut evaluated: Vec<(Config, f64)> = Vec::with_capacity(budget);
-        let mut seen = std::collections::HashSet::new();
-        for c in space.sample_distinct(self.init_random.min(budget), &mut rng) {
-            seen.insert(space.index_of(&c));
-            let r = objective.measure(&c)?;
-            evaluated.push((c, r));
-        }
-        let mut step = 0u64;
-        while evaluated.len() < budget {
-            step += 1;
-            let best = evaluated
-                .iter()
-                .map(|&(_, r)| r)
-                .fold(f64::INFINITY, f64::min);
-            let start = evaluated.len().saturating_sub(self.max_icl);
-            let target = best * self.improvement;
-            let proposal = crate::llambo::propose_candidate(
-                &self.model,
-                &space,
-                objective.size(),
-                &evaluated[start..],
-                target,
-                seed ^ step,
-            )
-            .filter(|c| !seen.contains(&space.index_of(c)));
-            let c = match proposal {
-                Some(c) => c,
-                None => {
-                    // Fallback: a fresh random candidate.
-                    let mut c = space.sample(&mut rng);
-                    while seen.contains(&space.index_of(&c)) {
-                        c = space.sample(&mut rng);
-                    }
-                    c
-                }
-            };
-            seen.insert(space.index_of(&c));
-            let r = objective.measure(&c)?;
-            evaluated.push((c, r));
-        }
-        Ok(TuningTrajectory { evaluated })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use lmpeel_configspace::ArraySize;
-    use lmpeel_lm::InductionLm;
     use lmpeel_perfdata::CostModel;
     use std::sync::OnceLock;
 
@@ -486,42 +322,5 @@ mod tests {
             .map(|(c, _)| d.space().index_of(c))
             .collect();
         assert_eq!(uniq.len(), t.evaluated.len());
-    }
-
-    #[test]
-    fn llm_candidate_sampling_runs_within_budget_without_repeats() {
-        let d = sm();
-        let tuner = LlmCandidateSearch {
-            model: std::sync::Arc::new(InductionLm::paper(0)),
-            init_random: 3,
-            max_icl: 8,
-            improvement: 0.9,
-        };
-        let t = tuner.run_dataset(d, 8, 5);
-        assert_eq!(t.evaluated.len(), 8);
-        let uniq: std::collections::HashSet<_> = t
-            .evaluated
-            .iter()
-            .map(|(c, _)| d.space().index_of(c))
-            .collect();
-        assert_eq!(uniq.len(), 8, "no configuration evaluated twice");
-    }
-
-    #[test]
-    fn llm_search_runs_within_budget() {
-        let d = sm();
-        let tuner = LlmSearch {
-            model: std::sync::Arc::new(InductionLm::paper(0)),
-            init_random: 3,
-            pool: 2,
-            max_icl: 6,
-        };
-        let t = tuner.run_dataset(d, 6, 4);
-        assert_eq!(t.evaluated.len(), 6);
-        let curve = t.best_curve();
-        assert!(
-            curve.windows(2).all(|w| w[1] <= w[0]),
-            "monotone best curve"
-        );
     }
 }

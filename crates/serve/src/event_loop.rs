@@ -218,7 +218,9 @@ pub(crate) struct LoopCtx {
     pub service: Arc<dyn LmService>,
     pub counters: Arc<FeCounters>,
     pub ext_queue: Option<Arc<ExtQueue>>,
-    pub stop: Arc<AtomicBool>,
+    /// Raised only after the acceptor has exited, so once a loop reads it
+    /// its inbox holds every connection it will ever be dealt.
+    pub drain: Arc<AtomicBool>,
     pub conn_count: Arc<AtomicUsize>,
     pub cfg: FeConfig,
 }
@@ -293,8 +295,8 @@ impl Conn {
     }
 }
 
-/// One event-loop thread: multiplex this loop's connections until stop,
-/// then drain them.
+/// One event-loop thread: multiplex this loop's connections until the
+/// drain flag rises, then drain them.
 pub(crate) fn run_event_loop(ctx: LoopCtx) {
     let cfg = &ctx.cfg;
     let mut conns: BTreeMap<u64, Conn> = BTreeMap::new();
@@ -306,6 +308,11 @@ pub(crate) fn run_event_loop(ctx: LoopCtx) {
     loop {
         tick += 1;
         let mut progress = false;
+
+        // Read the drain flag *before* taking the inbox: the acceptor has
+        // exited by the time the flag is raised, so a loop that sees it
+        // also adopts the acceptor's last push below.
+        let draining = ctx.drain.load(Ordering::SeqCst);
 
         // Adopt newly accepted connections (the inbox lock is the only
         // cross-thread lock on the connection path).
@@ -320,7 +327,6 @@ pub(crate) fn run_event_loop(ctx: LoopCtx) {
         }
 
         // Entering drain: announce GOAWAY on every live connection.
-        let draining = ctx.stop.load(Ordering::SeqCst);
         if draining && drain_started.is_none() {
             drain_started = Some(tick);
             let goaway = goaway_frame_body();

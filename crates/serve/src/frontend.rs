@@ -3,8 +3,8 @@
 //!
 //! The service API ([`LmService`]) is in-process; this module puts a wire
 //! in front of it so load generators and out-of-process callers can drive
-//! a service (single-shard or sharded — the front-end only sees the
-//! trait). The protocol is deliberately minimal:
+//! a service (one shard or many — the front-end only sees the trait).
+//! The protocol is deliberately minimal:
 //!
 //! * every frame is `u32-LE length` followed by that many body bytes;
 //! * a request body carries a caller-chosen `u64` correlation id, the
@@ -42,7 +42,7 @@ use lmpeel_tokenizer::TokenId;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -956,7 +956,12 @@ impl FrontendBuilder {
 /// GOAWAY frame, in-flight responses deliver, then connections close.
 pub struct Frontend {
     local_addr: SocketAddr,
+    /// Raised first at shutdown: the acceptor empties the backlog and exits.
     stop: Arc<AtomicBool>,
+    /// Tells the acceptor the peer address of the wake-up connection.
+    wake: mpsc::Sender<Option<SocketAddr>>,
+    /// Raised once the acceptor has exited: the event loops drain.
+    drain: Arc<AtomicBool>,
     counters: Arc<FeCounters>,
     acceptor: Option<JoinHandle<()>>,
     loops: Vec<JoinHandle<()>>,
@@ -999,6 +1004,8 @@ impl Frontend {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
+        let drain = Arc::new(AtomicBool::new(false));
+        let (wake, wake_peer) = mpsc::channel();
         let counters = Arc::new(FeCounters::new());
         let conn_count = Arc::new(AtomicUsize::new(0));
         let cfg = builder.config();
@@ -1031,7 +1038,7 @@ impl Frontend {
                     service: Arc::clone(&service),
                     counters: Arc::clone(&counters),
                     ext_queue: ext_queue.clone(),
-                    stop: Arc::clone(&stop),
+                    drain: Arc::clone(&drain),
                     conn_count: Arc::clone(&conn_count),
                     cfg: cfg.clone(),
                 };
@@ -1044,25 +1051,22 @@ impl Frontend {
             let counters = Arc::clone(&counters);
             let conn_count = Arc::clone(&conn_count);
             std::thread::spawn(move || {
-                let mut token = 0u64;
-                for stream in listener.incoming() {
-                    if stop.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let Ok(stream) = stream else { continue };
-                    counters.accepted.fetch_add(1, Ordering::SeqCst);
-                    conn_count.fetch_add(1, Ordering::SeqCst);
-                    inboxes[(token % inboxes.len() as u64) as usize]
-                        .lock()
-                        .push((token, stream));
-                    token += 1;
-                }
+                accept_loop(
+                    &listener,
+                    &inboxes,
+                    &stop,
+                    &wake_peer,
+                    &counters,
+                    &conn_count,
+                )
             })
         };
 
         Ok(Frontend {
             local_addr,
             stop,
+            wake,
+            drain,
             counters,
             acceptor: Some(acceptor),
             loops,
@@ -1116,13 +1120,24 @@ impl Frontend {
         self.stats()
     }
 
+    /// Shut down in an order that loses no accepted connection: the
+    /// acceptor hands every connection the kernel accepted to a loop
+    /// before it exits, and only then do the loops start the drain, so
+    /// each of those connections is adopted and sees the GOAWAY.
     fn stop_and_join(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
-        // Wake the acceptor out of `accept()` with a no-op connection.
-        let _ = TcpStream::connect(self.local_addr);
+        // Wake the acceptor out of `accept()` with a connection made after
+        // `stop` is raised; its address marks the end of the backlog. The
+        // timeout bounds the wait if the backlog is full: the acceptor
+        // then drains it nonblocking instead.
+        let wake = TcpStream::connect_timeout(&self.local_addr, Duration::from_secs(1));
+        let peer = wake.as_ref().ok().and_then(|w| w.local_addr().ok());
+        let _ = self.wake.send(peer);
         if let Some(acceptor) = self.acceptor.take() {
             let _ = acceptor.join();
         }
+        drop(wake);
+        self.drain.store(true, Ordering::SeqCst);
         for handle in self.loops.drain(..) {
             let _ = handle.join();
         }
@@ -1131,6 +1146,53 @@ impl Frontend {
         }
         for handle in self.ext_workers.drain(..) {
             let _ = handle.join();
+        }
+    }
+}
+
+/// The acceptor thread: deal accepted streams round-robin to the loops'
+/// inboxes until shutdown reaches the end of the backlog.
+///
+/// The wake-up connection is made only after `stop` is raised, so a
+/// stream accepted while `stop` reads false is always a client. Once
+/// `stop` is seen, the acceptor keeps accepting until it meets the
+/// wake-up connection: the accept queue is FIFO, so by then it has dealt
+/// every connection the kernel completed before shutdown began. The
+/// wake-up connection itself is neither adopted nor counted. If it could
+/// not be made, the acceptor drains the backlog nonblocking instead.
+fn accept_loop(
+    listener: &TcpListener,
+    inboxes: &[event_loop::AdoptInbox],
+    stop: &AtomicBool,
+    wake_peer: &mpsc::Receiver<Option<SocketAddr>>,
+    counters: &FeCounters,
+    conn_count: &AtomicUsize,
+) {
+    let mut token = 0u64;
+    // `Some(peer)` once shutdown has begun; `Some(None)` when there is no
+    // wake-up connection to wait for.
+    let mut end_of_backlog: Option<Option<SocketAddr>> = None;
+    loop {
+        let accepted = listener.accept();
+        if end_of_backlog.is_none() && stop.load(Ordering::SeqCst) {
+            let peer = wake_peer.recv().ok().flatten();
+            if peer.is_none() && listener.set_nonblocking(true).is_err() {
+                return;
+            }
+            end_of_backlog = Some(peer);
+        }
+        match accepted {
+            Ok((_, peer)) if end_of_backlog == Some(Some(peer)) => return,
+            Ok((stream, _)) => {
+                counters.accepted.fetch_add(1, Ordering::SeqCst);
+                conn_count.fetch_add(1, Ordering::SeqCst);
+                inboxes[(token % inboxes.len() as u64) as usize]
+                    .lock()
+                    .push((token, stream));
+                token += 1;
+            }
+            Err(_) if end_of_backlog == Some(None) => return,
+            Err(_) => {}
         }
     }
 }
@@ -1792,5 +1854,70 @@ mod tests {
         assert!(client.saw_goaway(), "drain announced itself with GOAWAY");
         let stats = drainer.join().unwrap();
         assert_eq!(stats.responses, 3);
+    }
+
+    /// Shutdown racing a connection the kernel has accepted but the
+    /// front-end may not have: the acceptor may not have dealt it yet, or
+    /// its loop may not have adopted it. Iterations alternate between
+    /// shutting down on the client's thread and on a drainer thread, with
+    /// a varying head start, so the shutdown lands before, during and
+    /// after acceptance and adoption. Every time, each request resolves
+    /// exactly once (a response or `CODE_SHUTDOWN`) and GOAWAY arrives.
+    #[test]
+    fn shutdown_racing_new_connections_resolves_every_request() {
+        let model = Arc::new(InductionLm::paper(0));
+        let prompt = model.tokenizer().encode("Performance: ");
+        let service: Arc<dyn LmService> = Arc::new(
+            InferenceService::builder()
+                .model("default", model)
+                .backpressure(crate::BackpressurePolicy::Reject)
+                .build(),
+        );
+        for iteration in 0..200u64 {
+            let frontend = Frontend::builder()
+                .loops(2)
+                .tick_interval(Duration::from_micros(100))
+                .drain_linger_ticks(64)
+                .bind(Arc::clone(&service), "127.0.0.1:0")
+                .unwrap();
+            let mut client = FrontendClient::connect(frontend.local_addr()).unwrap();
+            for id in 0..3u64 {
+                client
+                    .send(&WireRequest::new(id, "default", prompt.clone(), 2))
+                    .unwrap();
+            }
+            for _ in 0..iteration % 7 {
+                std::thread::yield_now();
+            }
+            let drainer = if iteration % 2 == 0 {
+                std::thread::spawn(move || frontend.shutdown())
+            } else {
+                let stats = frontend.shutdown();
+                std::thread::spawn(move || stats)
+            };
+            let mut resolved = std::collections::BTreeSet::new();
+            while let Ok(resp) = client.recv() {
+                if let WireResult::Err { code, ref message } = resp.body {
+                    assert_eq!(code, CODE_SHUTDOWN, "iteration {iteration}: {message}");
+                }
+                assert!(
+                    resolved.insert(resp.id),
+                    "iteration {iteration}: id {} twice",
+                    resp.id
+                );
+            }
+            assert_eq!(
+                resolved.len(),
+                3,
+                "iteration {iteration}: a request went unanswered"
+            );
+            assert!(client.saw_goaway(), "iteration {iteration}: no GOAWAY");
+            let stats = drainer.join().unwrap();
+            assert_eq!(
+                stats.accepted, 1,
+                "iteration {iteration}: the wake-up counted"
+            );
+            assert_eq!(stats.responses, 3, "iteration {iteration}");
+        }
     }
 }

@@ -16,6 +16,12 @@
 //! * a per-substrate **prefix-cache trie** keyed on token ids makes
 //!   shared prompt prefixes pay prefill once: later requests fork the
 //!   cached session snapshot (a deep copy) and prefill only the remainder;
+//! * [`ServiceBuilder::shards`] runs `N` such schedulers (one by
+//!   default) behind a [`ShardRouter`] that assigns each request by a
+//!   hash of its prompt prefix, so prefix-cache hits stay shard-local;
+//! * callers speak to the [`LmService`] trait, which
+//!   [`InferenceService`] implements — import it (or the [`prelude`]) to
+//!   call `submit`, `generate` and `stats`;
 //! * results return through per-request [`ResponseHandle`]s, and every
 //!   output is **deterministic and seed-stable**: traces are byte-identical
 //!   to sequential [`lmpeel_lm::generate_session`] regardless of admission
@@ -24,7 +30,7 @@
 //!
 //! ```
 //! use lmpeel_lm::{GenerateSpec, InductionLm, LanguageModel};
-//! use lmpeel_serve::{GenerateRequest, InferenceService};
+//! use lmpeel_serve::{GenerateRequest, InferenceService, LmService};
 //! use std::sync::Arc;
 //!
 //! let model = Arc::new(InductionLm::paper(0));
@@ -66,13 +72,13 @@ pub use request::{
 pub use service::{
     InferenceService, LmService, ResponseHandle, SchedulerPanicked, ServeStats, ServiceBuilder,
 };
-pub use shard::{
-    shards_from_env, ShardRouter, ShardedService, ShardedServiceBuilder, DEFAULT_PREFIX_WINDOW,
-};
+pub use shard::{ShardRouter, DEFAULT_PREFIX_WINDOW};
 pub use trie::{PrefixTrie, TrieStats};
 
-/// One-line import for service consumers: the [`LmService`] contract, both
-/// implementations and their builders, and the request/response vocabulary.
+/// One-line import for service consumers: the [`LmService`] contract, the
+/// service and its builder, the shard router, and the request/response
+/// vocabulary. Importing the prelude brings the trait's
+/// `submit`/`generate`/`stats` into scope for [`InferenceService`].
 ///
 /// ```
 /// use lmpeel_serve::prelude::*;
@@ -84,8 +90,9 @@ pub mod prelude {
     };
     pub use crate::service::{
         InferenceService, LmService, ResponseHandle, SchedulerPanicked, ServeStats, ServiceBuilder,
+        ShardedService,
     };
-    pub use crate::shard::{ShardRouter, ShardedService, ShardedServiceBuilder};
+    pub use crate::shard::ShardRouter;
 }
 
 #[cfg(test)]

@@ -3,9 +3,13 @@
 
 use crate::request::{BackpressurePolicy, GenerateRequest, GenerateResponse, RequestError};
 use crate::scheduler::{panic_message, Envelope, Scheduler, SchedulerConfig};
+use crate::shard::{ShardRouter, DEFAULT_PREFIX_WINDOW};
+use crate::sync::RankedMutex;
 use crate::trie::TrieStats;
 use lmpeel_lm::LanguageModel;
-use std::collections::HashMap;
+use std::cell::Cell;
+use std::collections::BTreeMap;
+use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Receiver, SyncSender, TryRecvError, TrySendError};
 use std::sync::Arc;
@@ -13,7 +17,7 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 /// Service-level counters, readable at any time via
-/// [`InferenceService::stats`].
+/// [`LmService::stats`].
 ///
 /// `submitted` counts before the envelope is enqueued (and is rolled back
 /// if enqueueing fails), so `completed` can never transiently exceed it.
@@ -63,10 +67,8 @@ pub struct ServeStats {
 
 impl ServeStats {
     /// Fold `other`'s counters into `self`, field by field — the one
-    /// place sharded stats aggregation is spelled out, so a
-    /// [`crate::ShardedService`] (or any other composite) can merge
-    /// per-shard blocks without hand-summing that silently goes stale
-    /// when a counter is added.
+    /// place per-shard stats aggregation is spelled out, so merging
+    /// shard blocks cannot silently go stale when a counter is added.
     pub fn merge(&mut self, other: &ServeStats) {
         let ServeStats {
             submitted,
@@ -147,25 +149,24 @@ impl std::fmt::Display for SchedulerPanicked {
 
 impl std::error::Error for SchedulerPanicked {}
 
-/// The service contract every serving topology implements: the
-/// single-shard [`InferenceService`] and the multi-core
-/// [`crate::ShardedService`] are interchangeable behind it, so experiment
-/// drivers, the llambo helpers, the line-protocol front-end and the bench
-/// binaries are written once against `dyn LmService` and scale from one
-/// scheduler thread to one-per-core without touching a call site.
+/// The service contract: the experiment drivers, the llambo helpers, the
+/// front-end and the bench binaries are written once against
+/// `dyn LmService`. [`InferenceService`] is its one implementation; the
+/// shard count set on its builder scales it from one scheduler thread to
+/// one per core without touching a call site.
 ///
 /// The trait is deliberately narrow — submit, stats, shutdown — because
 /// that is the whole lifecycle a caller owns. Everything else
-/// (backpressure policy, shard count, prefix-affinity routing, breaker
-/// tuning) is fixed at build time by the concrete builder.
+/// (backpressure policy, shard count, breaker tuning) is fixed at build
+/// time by the [`ServiceBuilder`].
 ///
 /// # Contract
 ///
 /// * `submit` is thread-safe behind `&self` and non-blocking apart from
 ///   the configured [`BackpressurePolicy`].
 /// * Traces are **topology-independent**: a request's response bytes are
-///   a deterministic function of the request alone (which service, shard
-///   or admission interleaving handled it cannot change them). The
+///   a deterministic function of the request alone (which shard or
+///   admission interleaving handled it cannot change them). The
 ///   sharded-vs-single equivalence proptests pin this.
 /// * `stats` may be read at any time; counters are settled no later than
 ///   the moment a request's result is observable through its handle.
@@ -191,12 +192,15 @@ pub trait LmService: Send + Sync {
 }
 
 impl LmService for InferenceService {
+    /// Route the request to its prefix-affine shard and queue it there.
+    /// Under the `Reject` policy a full queue fails fast with
+    /// [`RequestError::QueueFull`].
     fn submit(&self, request: GenerateRequest) -> Result<ResponseHandle, RequestError> {
-        InferenceService::submit(self, request)
+        self.shards[self.router.route(&request.prompt)].submit(request)
     }
 
     fn stats(&self) -> ServeStats {
-        InferenceService::stats(self)
+        ServeStats::merged(&self.shard_stats())
     }
 
     fn shutdown(self: Box<Self>) -> Result<ServeStats, SchedulerPanicked> {
@@ -208,21 +212,34 @@ impl From<SchedulerPanicked> for RequestError {
     /// A dead scheduler fails a request exactly like a contained
     /// substrate panic would: with the stringified payload. Completes the
     /// `From` lattice (`LmError → RequestError ← SchedulerPanicked`) so
-    /// composite services and the front-end propagate every failure kind
-    /// with `?` instead of ad-hoc rewrapping.
+    /// the service and the front-end propagate every failure kind with
+    /// `?` instead of ad-hoc rewrapping.
     fn from(e: SchedulerPanicked) -> Self {
         RequestError::Panicked(e.reason)
     }
 }
 
+/// Builds one model replica for the shard with the given index.
+type ModelFactory = Arc<dyn Fn(usize) -> Arc<dyn LanguageModel> + Send + Sync>;
+
+/// Shard count requested through the environment: `LMPEEL_SHARDS=N`.
+/// `None` when unset, empty, zero or unparsable.
+fn shards_from_env() -> Option<NonZeroUsize> {
+    std::env::var("LMPEEL_SHARDS")
+        .ok()
+        .and_then(|v| v.trim().parse().ok())
+}
+
 /// Configures and spawns an [`InferenceService`].
 ///
-/// `Clone` so the builder can serve as the per-shard template of a
-/// [`crate::ShardedServiceBuilder`] (models are shared by `Arc`, knobs by
-/// value).
-#[derive(Clone)]
+/// Every knob applies **per shard**: `queue_capacity` bounds each shard's
+/// queue, `max_batch` each shard's in-flight set, `prefix_cache_capacity`
+/// each shard's tries — so aggregate capacity scales with
+/// [`ServiceBuilder::shards`] by construction.
 pub struct ServiceBuilder {
-    models: HashMap<String, Arc<dyn LanguageModel>>,
+    /// Ordered by name so factories run in the same order on every run.
+    models: BTreeMap<String, ModelFactory>,
+    shards: usize,
     queue_capacity: usize,
     policy: BackpressurePolicy,
     max_batch: usize,
@@ -236,7 +253,8 @@ pub struct ServiceBuilder {
 impl Default for ServiceBuilder {
     fn default() -> Self {
         Self {
-            models: HashMap::new(),
+            models: BTreeMap::new(),
+            shards: 1,
             queue_capacity: 64,
             policy: BackpressurePolicy::default(),
             max_batch: 16,
@@ -250,20 +268,45 @@ impl Default for ServiceBuilder {
 }
 
 impl ServiceBuilder {
-    /// Fresh builder with the defaults (queue 64, blocking backpressure,
-    /// batch 16, 32 cached prefixes per substrate, quarantine after 3
-    /// consecutive panics).
+    /// Fresh builder with the defaults (one shard, queue 64, blocking
+    /// backpressure, batch 16, 32 cached prefixes per substrate,
+    /// quarantine after 3 consecutive panics).
     pub fn new() -> Self {
         Self::default()
     }
 
     /// Register `model` under `substrate`; requests name it by this key.
-    pub fn model(mut self, substrate: impl Into<String>, model: Arc<dyn LanguageModel>) -> Self {
-        self.models.insert(substrate.into(), model);
+    /// Every shard shares this one replica (models are `&self`-pure and
+    /// `Send + Sync`). Registering a name again replaces the earlier
+    /// model.
+    pub fn model(self, substrate: impl Into<String>, model: Arc<dyn LanguageModel>) -> Self {
+        self.model_factory(substrate, move |_| Arc::clone(&model))
+    }
+
+    /// Register a per-shard replica factory under `substrate`: `factory`
+    /// is called once per shard with the shard index, so every shard owns
+    /// its own model instance (own interior caches, no cross-shard
+    /// sharing) at the cost of one copy of the weights per shard.
+    pub fn model_factory(
+        mut self,
+        substrate: impl Into<String>,
+        factory: impl Fn(usize) -> Arc<dyn LanguageModel> + Send + Sync + 'static,
+    ) -> Self {
+        self.models.insert(substrate.into(), Arc::new(factory));
         self
     }
 
-    /// Bound of the request queue (minimum 1).
+    /// Number of scheduler shards (minimum 1, the default; one per core
+    /// is the intended multi-core shape). Requests are assigned to shards
+    /// by a [`ShardRouter`] over the prompt's first
+    /// [`DEFAULT_PREFIX_WINDOW`] tokens, so prompts sharing a prefix share
+    /// a shard and its prefix cache.
+    pub fn shards(mut self, shards: usize) -> Self {
+        self.shards = shards.max(1);
+        self
+    }
+
+    /// Bound of each shard's request queue (minimum 1).
     pub fn queue_capacity(mut self, capacity: usize) -> Self {
         self.queue_capacity = capacity.max(1);
         self
@@ -275,7 +318,7 @@ impl ServiceBuilder {
         self
     }
 
-    /// Maximum generations decoded concurrently (minimum 1).
+    /// Maximum generations each shard decodes concurrently (minimum 1).
     pub fn max_batch(mut self, max_batch: usize) -> Self {
         self.max_batch = max_batch.max(1);
         self
@@ -328,36 +371,41 @@ impl ServiceBuilder {
         self
     }
 
-    /// Build behind the [`LmService`] contract, sharding when the
-    /// environment asks for it: `LMPEEL_SHARDS=N` (N > 1) turns this
-    /// single-shard configuration into an N-shard
-    /// [`crate::ShardedService`] whose shards share this builder's models
-    /// and knobs; otherwise the plain [`InferenceService`] is returned.
-    /// Existing callers opt into multi-core serving by switching `build()`
-    /// to `build_service()` — every submit/wait call site stays the same.
+    /// Build behind the [`LmService`] contract, taking the shard count
+    /// from the environment when it is set: `LMPEEL_SHARDS=N` overrides
+    /// [`ServiceBuilder::shards`]. Callers opt into multi-core serving by
+    /// switching `build()` to `build_service()` — every submit/wait call
+    /// site stays the same.
     ///
     /// Shard count cannot change any request's bytes (traces are
     /// topology-independent, see [`LmService`]), so reading the
     /// environment here cannot perturb golden outputs.
     pub fn build_service(self) -> Box<dyn LmService> {
-        match crate::shard::shards_from_env() {
-            Some(n) if n.get() > 1 => Box::new(
-                crate::shard::ShardedServiceBuilder::from_template(self)
-                    .shards(n.get())
-                    .build(),
-            ),
-            _ => Box::new(self.build()),
-        }
+        let shards = shards_from_env().map_or(self.shards, NonZeroUsize::get);
+        Box::new(self.shards(shards).build())
     }
 
-    /// Spawn the scheduler thread and return the running service.
+    /// Spawn every shard's scheduler thread and return the running
+    /// service.
     pub fn build(self) -> InferenceService {
+        let router = ShardRouter::new(self.shards, DEFAULT_PREFIX_WINDOW);
+        let shards = (0..router.shards()).map(|i| self.spawn_shard(i)).collect();
+        InferenceService { router, shards }
+    }
+
+    /// Build shard `index`'s model replicas and spawn its scheduler.
+    fn spawn_shard(&self, index: usize) -> Shard {
+        let models = self
+            .models
+            .iter()
+            .map(|(name, factory)| (name.clone(), factory(index)))
+            .collect();
         let (tx, rx) = mpsc::sync_channel(self.queue_capacity);
-        let stats = Arc::new(crate::sync::RankedMutex::new("stats", ServeStats::default()));
+        let stats = Arc::new(RankedMutex::new("stats", ServeStats::default()));
         let draining = Arc::new(AtomicBool::new(false));
         let scheduler = Scheduler::new(
             rx,
-            self.models,
+            models,
             SchedulerConfig {
                 max_batch: self.max_batch,
                 trie_capacity: self.trie_capacity,
@@ -373,7 +421,7 @@ impl ServiceBuilder {
             .name("lmpeel-serve".into())
             .spawn(move || scheduler.run())
             .expect("spawn scheduler thread");
-        InferenceService {
+        Shard {
             tx: Some(tx),
             policy: self.policy,
             handle: Some(handle),
@@ -383,21 +431,36 @@ impl ServiceBuilder {
     }
 }
 
-/// A running continuous-batching inference service.
+/// A running continuous-batching inference service: `N` scheduler shards
+/// (one by default) behind a prefix-affinity [`ShardRouter`].
 ///
-/// Submission is thread-safe behind `&self`; results come back through
-/// per-request [`ResponseHandle`]s, so many callers can wait concurrently.
-/// [`InferenceService::shutdown`] drains gracefully (stops admitting,
-/// finishes in-flight work, surfaces scheduler panics); dropping the
-/// service instead processes everything still queued, then joins (logging
-/// any scheduler panic to stderr).
+/// Each shard owns a scheduler thread, its model replicas and its
+/// per-substrate prefix tries. Requests reach it through [`LmService`]:
+/// submission is thread-safe behind `&self`, results come back through
+/// per-request [`ResponseHandle`]s, so many callers can wait
+/// concurrently. [`InferenceService::shutdown`] drains gracefully (stops
+/// admitting, finishes in-flight work, surfaces scheduler panics);
+/// dropping the service instead processes everything still queued, then
+/// joins each shard (logging any scheduler panic to stderr).
+///
+/// # Determinism boundary
+///
+/// A shard fed some request stream behaves byte-identically to a
+/// one-shard service fed the same stream (pinned by `tests/sharded.rs`).
+/// Cross-shard *completion order* is not pinned: shards run on
+/// independent OS threads. Callers observe order only through their own
+/// handles, and each handle's bytes are a function of its request alone.
 pub struct InferenceService {
-    tx: Option<SyncSender<Envelope>>,
-    policy: BackpressurePolicy,
-    handle: Option<JoinHandle<()>>,
-    stats: Arc<crate::sync::RankedMutex<ServeStats>>,
-    draining: Arc<AtomicBool>,
+    router: ShardRouter,
+    shards: Vec<Shard>,
 }
+
+/// The former name of a multi-shard [`InferenceService`]. Kept only
+/// because the repository benchmark (`perfbench/src/serve.rs`) calls
+/// `ShardedService::builder()`, and the benchmark's sources stay fixed
+/// so its runs compare across commits. Nothing in the workspace uses
+/// it — write `InferenceService::builder().shards(n)`.
+pub type ShardedService = InferenceService;
 
 impl InferenceService {
     /// Start configuring a service.
@@ -405,9 +468,56 @@ impl InferenceService {
         ServiceBuilder::new()
     }
 
-    /// Queue a request. Returns a handle to wait on; under the `Reject`
-    /// policy a full queue fails fast with [`RequestError::QueueFull`].
-    pub fn submit(&self, request: GenerateRequest) -> Result<ResponseHandle, RequestError> {
+    /// The routing function in use (exposed so tests and the load
+    /// generator can predict placements).
+    pub fn router(&self) -> &ShardRouter {
+        &self.router
+    }
+
+    /// Per-shard counter blocks, indexed like the router's shard indices
+    /// (for load-balance reporting; their merge is [`LmService::stats`]).
+    pub fn shard_stats(&self) -> Vec<ServeStats> {
+        self.shards.iter().map(Shard::stats).collect()
+    }
+
+    /// Gracefully drain and join every shard: stop admitting, let
+    /// in-flight generations finish, reject whatever is still queued with
+    /// [`RequestError::ShutDown`] (counted in [`ServeStats::drained`]).
+    /// Returns the merged final counters on a clean join; if any shard's
+    /// scheduler thread panicked, the first panic is surfaced instead
+    /// (after every shard has still been joined, so no thread leaks
+    /// behind the error).
+    ///
+    /// Dropping the service without calling `shutdown` is the lossless
+    /// variant: everything queued is still decoded before the join, and a
+    /// scheduler panic is logged to stderr.
+    pub fn shutdown(self) -> Result<ServeStats, SchedulerPanicked> {
+        let mut total = ServeStats::default();
+        let mut first_panic = None;
+        for shard in self.shards {
+            match shard.shutdown() {
+                Ok(stats) => total.merge(&stats),
+                Err(p) => first_panic = first_panic.or(Some(p)),
+            }
+        }
+        match first_panic {
+            Some(p) => Err(p),
+            None => Ok(total),
+        }
+    }
+}
+
+/// One scheduler thread and the queue feeding it.
+struct Shard {
+    tx: Option<SyncSender<Envelope>>,
+    policy: BackpressurePolicy,
+    handle: Option<JoinHandle<()>>,
+    stats: Arc<RankedMutex<ServeStats>>,
+    draining: Arc<AtomicBool>,
+}
+
+impl Shard {
+    fn submit(&self, request: GenerateRequest) -> Result<ResponseHandle, RequestError> {
         let tx = self.tx.as_ref().expect("sender lives until drop");
         let (rtx, rrx) = mpsc::channel();
         let cancel = Arc::new(AtomicBool::new(false));
@@ -441,29 +551,17 @@ impl InferenceService {
             rx: rrx,
             cancel,
             cancel_on_drop: true,
+            delivered: Cell::new(false),
         })
     }
 
-    /// Submit and wait: the one-call path for sequential callers.
-    pub fn generate(&self, request: GenerateRequest) -> Result<GenerateResponse, RequestError> {
-        self.submit(request)?.wait()
-    }
-
     /// Current counters (settled after each scheduling round).
-    pub fn stats(&self) -> ServeStats {
+    fn stats(&self) -> ServeStats {
         *self.stats.lock()
     }
 
-    /// Gracefully drain and join the scheduler: stop admitting, let
-    /// in-flight generations finish, reject whatever is still queued with
-    /// [`RequestError::ShutDown`] (counted in [`ServeStats::drained`]),
-    /// and surface a scheduler-thread panic as an error instead of
-    /// swallowing it. Returns the final counters on a clean join.
-    ///
-    /// Dropping the service without calling `shutdown` is the lossless
-    /// variant: everything queued is still decoded before the join, and a
-    /// scheduler panic is logged to stderr.
-    pub fn shutdown(mut self) -> Result<ServeStats, SchedulerPanicked> {
+    /// Raise the drain flag, then close the queue and join.
+    fn shutdown(mut self) -> Result<ServeStats, SchedulerPanicked> {
         self.draining.store(true, Ordering::SeqCst);
         match self.shutdown_inner() {
             Some(reason) => Err(SchedulerPanicked { reason }),
@@ -484,7 +582,7 @@ impl InferenceService {
     }
 }
 
-impl Drop for InferenceService {
+impl Drop for Shard {
     fn drop(&mut self) {
         if let Some(reason) = self.shutdown_inner() {
             eprintln!("lmpeel-serve: scheduler thread panicked: {reason}");
@@ -503,6 +601,10 @@ pub struct ResponseHandle {
     rx: Receiver<Result<GenerateResponse, RequestError>>,
     cancel: Arc<AtomicBool>,
     cancel_on_drop: bool,
+    /// Set once `try_wait` has returned the result: the scheduler drops
+    /// its sender only after sending, so the channel alone may still
+    /// read as empty on the next poll.
+    delivered: Cell<bool>,
 }
 
 impl ResponseHandle {
@@ -522,8 +624,14 @@ impl ResponseHandle {
     /// than `None`, so pollers can never spin forever on a response that
     /// will never come.
     pub fn try_wait(&self) -> Option<Result<GenerateResponse, RequestError>> {
+        if self.delivered.get() {
+            return Some(Err(RequestError::ShutDown));
+        }
         match self.rx.try_recv() {
-            Ok(result) => Some(result),
+            Ok(result) => {
+                self.delivered.set(true);
+                Some(result)
+            }
             Err(TryRecvError::Empty) => None,
             Err(TryRecvError::Disconnected) => Some(Err(RequestError::ShutDown)),
         }
@@ -558,7 +666,7 @@ mod tests {
     fn shutdown_surfaces_scheduler_panics() {
         crate::faults::silence_injected_panics();
         let (tx, _rx) = mpsc::sync_channel(1);
-        let service = InferenceService {
+        let shard = Shard {
             tx: Some(tx),
             policy: BackpressurePolicy::Block,
             handle: Some(
@@ -567,8 +675,12 @@ mod tests {
                     .spawn(|| panic!("{} scheduler bug", crate::faults::INJECTED_PANIC))
                     .expect("spawn"),
             ),
-            stats: Arc::new(crate::sync::RankedMutex::new("stats", ServeStats::default())),
+            stats: Arc::new(RankedMutex::new("stats", ServeStats::default())),
             draining: Arc::new(AtomicBool::new(false)),
+        };
+        let service = InferenceService {
+            router: ShardRouter::new(1, DEFAULT_PREFIX_WINDOW),
+            shards: vec![shard],
         };
         let err = service.shutdown().unwrap_err();
         assert!(err.reason.contains("scheduler bug"), "got {err}");

@@ -8,7 +8,7 @@
 //! induction substrate mixes.
 
 use lmpeel_lm::{generate, GenerateSpec, InductionLm, LanguageModel};
-use lmpeel_serve::{GenerateRequest, InferenceService};
+use lmpeel_serve::{GenerateRequest, InferenceService, LmService};
 use lmpeel_transformer::InductionTransformer;
 use proptest::prelude::*;
 use std::sync::Arc;

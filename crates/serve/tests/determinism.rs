@@ -8,7 +8,7 @@
 //! the sequential [`lmpeel_lm::generate`] loop run one request at a time.
 
 use lmpeel_lm::{generate, GenerateSpec, InductionLm, LanguageModel};
-use lmpeel_serve::{GenerateRequest, InferenceService};
+use lmpeel_serve::{GenerateRequest, InferenceService, LmService};
 use lmpeel_tokenizer::TokenId;
 use proptest::prelude::*;
 use std::sync::Arc;

@@ -17,7 +17,7 @@
 
 use lmpeel_lm::{generate, GenerateSpec, InductionLm, LanguageModel, LmError};
 use lmpeel_serve::faults::{silence_injected_panics, Fault, FaultyLm};
-use lmpeel_serve::{GenerateRequest, InferenceService, RequestError};
+use lmpeel_serve::{GenerateRequest, InferenceService, LmService, RequestError};
 use lmpeel_tokenizer::TokenId;
 use proptest::prelude::*;
 use std::sync::Arc;

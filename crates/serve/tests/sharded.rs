@@ -7,13 +7,13 @@
 //! 1. [`ShardRouter`] is a deterministic, process-stable function of the
 //!    prompt's prefix window — two routers with the same parameters agree
 //!    on every prompt, and tokens past the window never matter.
-//! 2. A sharded service's traces are byte-identical to an *equivalent
-//!    single-shard service* fed only that shard's slice of the workload
+//! 2. A multi-shard service's traces are byte-identical to an *equivalent
+//!    one-shard service* fed only that shard's slice of the workload
 //!    in the same admission order. Cases sweep substrate mix, admission
 //!    order, and shard count; only cross-shard completion order is free.
 
 use lmpeel_lm::{InductionLm, LanguageModel};
-use lmpeel_serve::{GenerateRequest, InferenceService, ShardRouter, ShardedService};
+use lmpeel_serve::{GenerateRequest, InferenceService, LmService, ShardRouter};
 use lmpeel_tokenizer::TokenId;
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -123,7 +123,7 @@ proptest! {
         let alt = Arc::new(InductionLm::paper(7));
         let prompts = prompts(&base);
 
-        let sharded = ShardedService::builder()
+        let sharded = InferenceService::builder()
             .model("default", base.clone())
             .model("alt", alt.clone())
             .shards(shard_count)

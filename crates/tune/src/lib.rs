@@ -178,7 +178,8 @@ pub struct ServiceLlmSearch<M> {
 impl<M: LanguageModel + 'static> ServiceLlmSearch<M> {
     /// Score `candidates` by submitting one generation per candidate to
     /// `service`, returning predicted runtimes (`INFINITY` where the
-    /// response held no value).
+    /// response held no value). A shed or failed request is an
+    /// [`ObjectiveError`], so the search ends instead of panicking.
     fn score_pool(
         &self,
         service: &dyn LmService,
@@ -186,10 +187,10 @@ impl<M: LanguageModel + 'static> ServiceLlmSearch<M> {
         examples: &[(lmpeel_configspace::Config, f64)],
         candidates: &[lmpeel_configspace::Config],
         seed: u64,
-    ) -> Vec<f64> {
+    ) -> Result<Vec<f64>, ObjectiveError> {
         let t = self.model.tokenizer();
         let stop = vec![t.vocab().token_id("\n").expect("newline"), t.special(EOS)];
-        let handles: Vec<_> = candidates
+        let handles = candidates
             .iter()
             .enumerate()
             .map(|(i, cand)| {
@@ -202,16 +203,16 @@ impl<M: LanguageModel + 'static> ServiceLlmSearch<M> {
                     .seed(seed ^ (i as u64 + 1))
                     .build()
                     .expect("valid surrogate request");
-                service.submit(request).expect("service accepts while running")
+                service.submit(request)
             })
-            .collect();
+            .collect::<Result<Vec<_>, _>>()?;
         handles
             .into_iter()
             .map(|h| {
-                let trace = h.wait().expect("surrogate decode").trace;
-                extract_value(&trace.decode(t))
+                let trace = h.wait()?.trace;
+                Ok(extract_value(&trace.decode(t))
                     .map(|(v, _)| v)
-                    .unwrap_or(f64::INFINITY)
+                    .unwrap_or(f64::INFINITY))
             })
             .collect()
     }
@@ -260,7 +261,8 @@ impl<M: LanguageModel + 'static> Tuner for ServiceLlmSearch<M> {
             if pool.is_empty() {
                 break;
             }
-            let scores = self.score_pool(service.as_ref(), &builder, &examples, &pool, seed ^ step);
+            let scores =
+                self.score_pool(service.as_ref(), &builder, &examples, &pool, seed ^ step)?;
             let best = pool
                 .into_iter()
                 .zip(scores)
@@ -516,6 +518,58 @@ mod tests {
             budget: 6,
             seed: 7,
         }
+    }
+
+    #[test]
+    fn service_llm_search_runs_within_budget() {
+        let d = PerfDataset::generate(&CostModel::paper(), ArraySize::SM);
+        let tuner = ServiceLlmSearch {
+            model: Arc::new(InductionLm::paper(0)),
+            init_random: 3,
+            pool: 2,
+            max_icl: 6,
+        };
+        let t = tuner.run_dataset(&d, 6, 4);
+        assert_eq!(t.evaluated.len(), 6);
+        let curve = t.best_curve();
+        assert!(
+            curve.windows(2).all(|w| w[1] <= w[0]),
+            "monotone best curve"
+        );
+    }
+
+    /// A substrate whose logits panic: the service contains each panic as
+    /// a failed request, and the search must return that as an error.
+    struct PanickingLm(lmpeel_tokenizer::Tokenizer);
+
+    impl LanguageModel for PanickingLm {
+        fn tokenizer(&self) -> &lmpeel_tokenizer::Tokenizer {
+            &self.0
+        }
+        fn logits(&self, _context: &[lmpeel_tokenizer::TokenId]) -> Vec<f32> {
+            panic!("surrogate substrate panicked on purpose")
+        }
+        fn name(&self) -> String {
+            "panicking".into()
+        }
+    }
+
+    #[test]
+    fn surrogate_service_errors_end_the_search_instead_of_panicking() {
+        let d = PerfDataset::generate(&CostModel::paper(), ArraySize::S);
+        let tuner = ServiceLlmSearch {
+            model: Arc::new(PanickingLm(lmpeel_tokenizer::Tokenizer::paper())),
+            init_random: 2,
+            pool: 4,
+            max_icl: 8,
+        };
+        let err = tuner
+            .run(&mut DatasetObjective::new(&d), 6, 7)
+            .expect_err("a failing surrogate fails the search");
+        assert!(
+            err.to_string().contains("panicked on purpose"),
+            "got: {err}"
+        );
     }
 
     #[test]

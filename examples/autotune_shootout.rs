@@ -11,9 +11,10 @@
 //! ```
 
 use lm_peel::configspace::{ArraySize, Syr2kConfig};
-use lm_peel::core::autotune::{GbdtSearch, LlmSearch, RandomSearch, Tuner};
+use lm_peel::core::autotune::{GbdtSearch, RandomSearch, Tuner};
 use lm_peel::lm::InductionLm;
 use lm_peel::perfdata::{CostModel, PerfDataset};
+use lm_peel::tune::ServiceLlmSearch;
 
 fn main() {
     let dataset = PerfDataset::generate(&CostModel::paper(), ArraySize::SM);
@@ -28,7 +29,7 @@ fn main() {
     let tuners: Vec<Box<dyn Tuner>> = vec![
         Box::new(RandomSearch),
         Box::new(GbdtSearch::default()),
-        Box::new(LlmSearch {
+        Box::new(ServiceLlmSearch {
             model: std::sync::Arc::new(InductionLm::paper(0)),
             init_random: 8,
             pool: 4,

@@ -4,28 +4,30 @@
 //! connection count: `1 acceptor + loops` threads whether 16 or 1024
 //! clients are connected. This binary measures that claim as a curve —
 //! the same uniformly-paced open-loop load (fixed total offered rate)
-//! replayed over 16, 64, 256 and 1024 connections from one [`WireSwarm`]
-//! thread — and records goodput-under-SLO, wire-histogram p50/p99 and
-//! the front-end's thread count per point in
+//! replayed over 16, 64, 256 and 1024 connections from one
+//! [`lmpeel_bench::openloop`] thread — and records goodput-under-SLO,
+//! wire-histogram p50/p99 and the front-end's thread count per point in
 //! `bench_out/frontend_scaling.txt`.
 //!
 //! Bars (enforced in the full run): every point serves from at most 8
-//! front-end threads; goodput at 1024 connections stays within 10% of
-//! the 64-connection point (connection count must not bend the curve);
-//! and a final drain leg — shutdown issued with a full complement of
-//! requests in flight — loses zero completions: every submitted request
-//! is answered (result or shutdown code) before the front-end exits.
+//! front-end threads and answers every request without a failure;
+//! goodput at 1024 connections stays within 10% of the 64-connection
+//! point (connection count must not bend the curve); and a final drain
+//! leg — shutdown issued with a full complement of requests in flight —
+//! loses zero completions: every submitted request is answered (result
+//! or shutdown code) before the front-end exits.
 //!
 //! The substrate is the cheap induction LM so the front-end, not the
 //! model, is the measured object. `LMPEEL_BENCH_SMOKE=1` shrinks the
 //! sweep to a seconds-long sanity pass and skips the golden artifact.
 
 use lmpeel_bench::cli::arg_flag;
+use lmpeel_bench::openloop;
 use lmpeel_bench::runs::{out_dir, write_golden};
-use lmpeel_bench::wireload::WireSwarm;
 use lmpeel_lm::{InductionLm, LanguageModel};
-use lmpeel_serve::frontend::{is_goaway, Frontend, WireRequest, WireResponse, WireResult};
+use lmpeel_serve::frontend::{Frontend, WireRequest};
 use lmpeel_serve::prelude::*;
+use lmpeel_serve::WireSwarm;
 use std::fmt::Write as _;
 use std::net::SocketAddr;
 use std::sync::Arc;
@@ -35,9 +37,10 @@ use std::time::{Duration, Instant};
 struct Point {
     conns: usize,
     threads: usize,
-    ok: u64,
-    shed: u64,
-    lost: u64,
+    ok: usize,
+    shed: usize,
+    failed: usize,
+    lost: usize,
     goodput: f64,
     wire_p50_us: u64,
     wire_p99_us: u64,
@@ -55,41 +58,31 @@ fn bind_frontend(service: &Arc<dyn LmService>) -> Frontend {
         .expect("bind front-end")
 }
 
-fn request(id: u64, prompt: &[u32]) -> Vec<u8> {
+fn request(id: u64, prompt: &[u32]) -> WireRequest {
     let mut wire = WireRequest::new(id, "default", prompt.to_vec(), 2);
     wire.seed = id;
-    wire.encode()
+    wire
 }
 
-/// Closed-loop calibration over one connection: mean request latency at
-/// steady state, which sizes the offered rate and the SLO.
+/// Closed-loop calibration over one blocking connection: mean request
+/// latency at steady state, which sizes the offered rate and the SLO.
 fn probe_mean(addr: SocketAddr, prompt: &[u32], events: usize) -> Duration {
-    let mut swarm = WireSwarm::connect(addr, 1).expect("probe connection");
-    let mut frames = Vec::new();
-    let mut done = 0usize;
+    let mut client = WireSwarm::connect(addr, 1).expect("probe connection");
+    let mut round_trip = |id: u64| {
+        client.send(0, &request(id, prompt).encode()).expect("probe send");
+        client.recv(0).expect("probe response");
+    };
     // One warmup fill of the prefix cache before timing.
-    swarm.queue(0, &request(u64::MAX, prompt));
-    while frames.is_empty() {
-        swarm.pump(&mut frames);
-    }
-    frames.clear();
+    round_trip(u64::MAX);
     let start = Instant::now();
     for i in 0..events {
-        swarm.queue(0, &request(i as u64, prompt));
-        while frames.is_empty() {
-            if !swarm.pump(&mut frames) {
-                std::thread::sleep(Duration::from_micros(50));
-            }
-        }
-        frames.clear();
-        done += 1;
+        round_trip(i as u64);
     }
-    swarm.shutdown();
-    start.elapsed() / done.max(1) as u32
+    start.elapsed() / events.max(1) as u32
 }
 
 /// One sweep point: `total` requests paced at `rate` req/s over `conns`
-/// connections (dealt round-robin), all pumped from this thread.
+/// connections (dealt round-robin).
 fn run_point(
     service: &Arc<dyn LmService>,
     prompt: &[u32],
@@ -99,69 +92,22 @@ fn run_point(
     slo: Duration,
 ) -> Point {
     let frontend = bind_frontend(service);
-    let mut swarm = WireSwarm::connect(frontend.local_addr(), conns).expect("swarm connect");
-    let mut frames: Vec<(usize, Vec<u8>)> = Vec::new();
-    let mut ok = 0u64;
-    let mut shed = 0u64;
-    let mut received = 0usize;
-    let slo_ms = slo.as_secs_f64() * 1e3;
-    let start = Instant::now();
-    let account = |frames: &mut Vec<(usize, Vec<u8>)>, ok: &mut u64, shed: &mut u64, received: &mut usize| {
-        for (_, body) in frames.drain(..) {
-            if is_goaway(&body) {
-                continue;
-            }
-            let Ok(resp) = WireResponse::decode(&body) else {
-                *received += 1;
-                continue;
-            };
-            let scheduled =
-                start + Duration::from_secs_f64(resp.id as f64 / rate);
-            let ms = Instant::now()
-                .saturating_duration_since(scheduled)
-                .as_secs_f64()
-                * 1e3;
-            match resp.body {
-                WireResult::Ok { .. } if ms <= slo_ms => *ok += 1,
-                WireResult::Ok { .. } => {}
-                WireResult::Err { .. } if resp.is_shed() => *shed += 1,
-                WireResult::Err { .. } => {}
-            }
-            *received += 1;
-        }
-    };
-
-    for i in 0..total {
-        let due = start + Duration::from_secs_f64(i as f64 / rate);
-        loop {
-            if Instant::now() >= due {
-                break;
-            }
-            if !swarm.pump(&mut frames) {
-                std::thread::sleep(Duration::from_micros(100));
-            }
-            account(&mut frames, &mut ok, &mut shed, &mut received);
-        }
-        swarm.queue(i % conns, &request(i as u64, prompt));
-    }
-    let drain_deadline = Instant::now() + slo * 4 + Duration::from_secs(5);
-    while received < total && swarm.open_count() > 0 && Instant::now() < drain_deadline {
-        if !swarm.pump(&mut frames) {
-            std::thread::sleep(Duration::from_micros(100));
-        }
-        account(&mut frames, &mut ok, &mut shed, &mut received);
-    }
-    let elapsed = start.elapsed();
+    let arrivals: Vec<Duration> =
+        (0..total).map(|i| Duration::from_secs_f64(i as f64 / rate)).collect();
+    let run = openloop::wire(frontend.local_addr(), conns, &arrivals, slo, |i| {
+        request(i as u64, prompt)
+    })
+    .expect("swarm connect");
     let threads = frontend.thread_count();
-    swarm.shutdown();
     let stats = frontend.shutdown();
     Point {
         conns,
         threads,
-        ok,
-        shed,
-        lost: (total - received) as u64,
-        goodput: ok as f64 / elapsed.as_secs_f64(),
+        ok: run.ok.iter().filter(|&&l| l <= slo).count(),
+        shed: run.shed,
+        failed: run.failed,
+        lost: run.lost,
+        goodput: run.goodput(slo),
         wire_p50_us: stats.latency.percentile_upper_micros(0.50),
         wire_p99_us: stats.latency.percentile_upper_micros(0.99),
     }
@@ -173,31 +119,15 @@ fn run_point(
 fn run_drain(service: &Arc<dyn LmService>, prompt: &[u32], conns: usize) -> (usize, usize, usize) {
     let frontend = bind_frontend(service);
     let mut swarm = WireSwarm::connect(frontend.local_addr(), conns).expect("drain swarm");
+    // Every request frame is in the kernel before the GOAWAY goes out,
+    // so the drain has a full complement in flight.
     for i in 0..conns {
-        swarm.queue(i, &request(i as u64, prompt));
-    }
-    // Push every request frame at least into the kernel before the
-    // GOAWAY goes out, so the drain has a full complement in flight.
-    let mut frames: Vec<(usize, Vec<u8>)> = Vec::new();
-    while swarm.backlog() > 0 {
-        swarm.pump(&mut frames);
+        swarm.send(i, &request(i as u64, prompt).encode()).expect("drain send");
     }
     let closer = std::thread::spawn(move || frontend.shutdown());
-    let mut delivered = 0usize;
-    let mut goaway_conns = std::collections::BTreeSet::new();
-    let deadline = Instant::now() + Duration::from_secs(30);
-    while delivered < conns && swarm.open_count() > 0 && Instant::now() < deadline {
-        if !swarm.pump(&mut frames) {
-            std::thread::sleep(Duration::from_micros(100));
-        }
-        for (conn, body) in frames.drain(..) {
-            if is_goaway(&body) {
-                goaway_conns.insert(conn);
-            } else {
-                delivered += 1;
-            }
-        }
-    }
+    // Read every connection until the drain closes it.
+    let delivered: usize =
+        (0..conns).map(|i| std::iter::from_fn(|| swarm.recv(i).ok()).count()).sum();
     let stats = closer.join().expect("shutdown thread");
     assert!(
         stats.responses >= conns as u64,
@@ -205,8 +135,8 @@ fn run_drain(service: &Arc<dyn LmService>, prompt: &[u32], conns: usize) -> (usi
         stats.responses,
         conns
     );
-    swarm.shutdown();
-    (delivered, conns - delivered, goaway_conns.len())
+    let goaway_conns = (0..conns).filter(|&i| swarm.saw_goaway(i)).count();
+    (delivered, conns.saturating_sub(delivered), goaway_conns)
 }
 
 fn main() {
@@ -256,8 +186,8 @@ fn main() {
         .map(|&conns| {
             let pt = run_point(&service, &prompt, conns, total, rate, slo);
             eprintln!(
-                "conns={:<5} threads={} ok={} shed={} lost={} goodput={:.1}/s",
-                pt.conns, pt.threads, pt.ok, pt.shed, pt.lost, pt.goodput
+                "conns={:<5} threads={} ok={} shed={} failed={} lost={} goodput={:.1}/s",
+                pt.conns, pt.threads, pt.ok, pt.shed, pt.failed, pt.lost, pt.goodput
             );
             pt
         })
@@ -282,12 +212,13 @@ fn main() {
     for pt in &points {
         writeln!(
             report,
-            "conns={:<5} threads={} ok={:<5} shed={:<3} lost={:<3} goodput={:.1}/s \
-             p50<={}us p99<={}us",
+            "conns={:<5} threads={} ok={:<5} shed={:<3} failed={:<3} lost={:<3} \
+             goodput={:.1}/s p50<={}us p99<={}us",
             pt.conns,
             pt.threads,
             pt.ok,
             pt.shed,
+            pt.failed,
             pt.lost,
             pt.goodput,
             pt.wire_p50_us,
@@ -329,8 +260,11 @@ fn main() {
                 eprintln!("conns={}: {} front-end threads exceeds the 8-thread bar", pt.conns, pt.threads);
                 failed = true;
             }
-            if pt.lost > 0 {
-                eprintln!("conns={}: {} requests went unanswered", pt.conns, pt.lost);
+            if pt.failed + pt.lost > 0 {
+                eprintln!(
+                    "conns={}: {} requests failed, {} went unanswered",
+                    pt.conns, pt.failed, pt.lost
+                );
                 failed = true;
             }
         }

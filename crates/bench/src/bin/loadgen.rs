@@ -21,7 +21,10 @@
 //! multiple of the probe's throughput — above what one shard can carry,
 //! below what the sharded service can. Submission never blocks: the
 //! services run the reject policy, so overload surfaces as shed
-//! responses (admission control), not as generator back-pressure.
+//! responses (admission control), not as generator back-pressure. Both
+//! transports replay through [`lmpeel_bench::openloop`]: latency runs
+//! from each request's scheduled arrival to its completion, so queueing
+//! counts.
 //!
 //! Flags: `--requests N`, `--groups G`, `--prompt-len L`, `--shards K`,
 //! `--transport inproc|tcp` (tcp drives the sharded service through the
@@ -29,16 +32,15 @@
 //! to a seconds-long sanity pass and skips the golden artifact.
 
 use lmpeel_bench::cli::{arg_flag, str_flag};
+use lmpeel_bench::openloop::{self, Run};
 use lmpeel_bench::runs::{out_dir, write_golden};
 use lmpeel_lm::LanguageModel;
-use lmpeel_bench::wireload::WireSwarm;
-use lmpeel_serve::frontend::{Frontend, WireRequest, WireResponse, WireResult, SHED_QUEUE_FULL};
+use lmpeel_serve::frontend::{Frontend, WireRequest};
 use lmpeel_serve::prelude::*;
 use lmpeel_transformer::InductionTransformer;
 use rand::{RngCore, RngExt, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::fmt::Write as _;
-use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -210,6 +212,18 @@ fn build_request(p: &Params, prompts: &[Vec<u32>], ev: &Event, slo: Duration) ->
     b.build().expect("loadgen spec is valid")
 }
 
+/// The wire form of [`build_request`] (the pump sets the id).
+fn wire_request(p: &Params, prompts: &[Vec<u32>], ev: &Event, slo: Duration) -> WireRequest {
+    let mut wire = WireRequest::new(0, "default", prompts[ev.group].clone(), p.gen_tokens as u32);
+    wire.seed = ev.seed;
+    wire.wall_ms = match ev.class {
+        DeadlineClass::Tight => Some(slo.as_millis() as u64),
+        DeadlineClass::Loose => Some((slo * 4).as_millis() as u64),
+        DeadlineClass::Unbounded => None,
+    };
+    wire
+}
+
 /// Closed-loop calibration on `service`: replay `warm` events to steady
 /// state, then time `probe` more; returns the mean per-request latency.
 fn probe_mean_latency(
@@ -255,208 +269,30 @@ fn warm_service(service: &dyn LmService, p: &Params, prompts: &[Vec<u32>]) {
     }
 }
 
-/// Replay outcome for one service.
-#[derive(Default)]
-struct Outcome {
-    ok_latencies_ms: Vec<f64>,
-    shed: u64,
-    deadline: u64,
-    failed: u64,
-    elapsed: Duration,
+/// Latency percentile over a run's successes, in milliseconds.
+fn percentile_ms(run: &Run, q: f64) -> f64 {
+    let mut sorted: Vec<f64> = run.ok.iter().map(|l| l.as_secs_f64() * 1e3).collect();
+    sorted.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
+    if sorted.is_empty() {
+        return f64::NAN;
+    }
+    let idx = (q * (sorted.len() - 1) as f64).round() as usize;
+    sorted[idx]
 }
 
-impl Outcome {
-    fn goodput(&self, slo: Duration) -> f64 {
-        let slo_ms = slo.as_secs_f64() * 1e3;
-        let good = self.ok_latencies_ms.iter().filter(|&&l| l <= slo_ms).count();
-        good as f64 / self.elapsed.as_secs_f64()
-    }
-
-    fn percentile(&self, q: f64) -> f64 {
-        let mut sorted = self.ok_latencies_ms.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
-        if sorted.is_empty() {
-            return f64::NAN;
-        }
-        let idx = (q * (sorted.len() - 1) as f64).round() as usize;
-        sorted[idx]
-    }
-
-    fn report_line(&self, label: &str, slo: Duration) -> String {
-        format!(
-            "{label}: ok={} shed={} deadline={} failed={} p50={:.1}ms p99={:.1}ms \
-             p999={:.1}ms goodput={:.1}/s",
-            self.ok_latencies_ms.len(),
-            self.shed,
-            self.deadline,
-            self.failed,
-            self.percentile(0.50),
-            self.percentile(0.99),
-            self.percentile(0.999),
-            self.goodput(slo)
-        )
-    }
-}
-
-/// Open-loop in-process replay: submit each event at its arrival time
-/// (never blocking on results), collect completions on a second thread.
-/// Latency is measured arrival-to-completion, so queueing counts.
-fn replay_inproc(
-    service: &dyn LmService,
-    p: &Params,
-    prompts: &[Vec<u32>],
-    trace: &[Event],
-    slo: Duration,
-) -> Outcome {
-    let (tx, rx) = mpsc::channel::<(Instant, ResponseHandle)>();
-    let collector = std::thread::spawn(move || {
-        let mut pending: Vec<(Instant, ResponseHandle)> = Vec::new();
-        let mut out = Outcome::default();
-        let mut open = true;
-        while open || !pending.is_empty() {
-            let msg = if pending.is_empty() {
-                rx.recv().map_err(|_| mpsc::RecvTimeoutError::Disconnected)
-            } else {
-                rx.recv_timeout(Duration::from_micros(500))
-            };
-            match msg {
-                Ok(item) => pending.push(item),
-                Err(mpsc::RecvTimeoutError::Timeout) => {}
-                Err(mpsc::RecvTimeoutError::Disconnected) => open = false,
-            }
-            let mut i = 0;
-            while i < pending.len() {
-                match pending[i].1.try_wait() {
-                    Some(result) => {
-                        let (arrived, _) = pending.swap_remove(i);
-                        let ms = arrived.elapsed().as_secs_f64() * 1e3;
-                        match result {
-                            Ok(_) => out.ok_latencies_ms.push(ms),
-                            Err(RequestError::DeadlineExceeded) => out.deadline += 1,
-                            Err(RequestError::QueueFull) => out.shed += 1,
-                            Err(_) => out.failed += 1,
-                        }
-                    }
-                    None => i += 1,
-                }
-            }
-        }
-        out
-    });
-
-    let start = Instant::now();
-    let mut shed_at_submit = 0u64;
-    let mut failed_at_submit = 0u64;
-    for ev in trace {
-        let due = start + ev.at;
-        let now = Instant::now();
-        if due > now {
-            std::thread::sleep(due - now);
-        }
-        match service.submit(build_request(p, prompts, ev, slo)) {
-            Ok(handle) => {
-                tx.send((Instant::now(), handle)).expect("collector alive");
-            }
-            Err(RequestError::QueueFull) => shed_at_submit += 1,
-            Err(_) => failed_at_submit += 1,
-        }
-    }
-    drop(tx);
-    let mut out = collector.join().expect("collector thread");
-    out.shed += shed_at_submit;
-    out.failed += failed_at_submit;
-    out.elapsed = start.elapsed();
-    out
-}
-
-/// Open-loop replay through the TCP front-end over `connections`
-/// nonblocking client connections (requests dealt round-robin), all
-/// multiplexed from this one thread by a [`WireSwarm`] — pumping reads
-/// between paced sends, so pacing never starves the read side into the
-/// front-end's slow-reader defense. Every submitted frame gets exactly
-/// one response (sheds included), so the replay runs until it has seen
-/// them all.
-fn replay_tcp(
-    frontend_addr: std::net::SocketAddr,
-    p: &Params,
-    prompts: &[Vec<u32>],
-    trace: &[Event],
-    slo: Duration,
-    connections: usize,
-) -> Outcome {
-    let mut swarm =
-        WireSwarm::connect(frontend_addr, connections.max(1)).expect("connect loadgen swarm");
-    let n = trace.len();
-    let arrivals: Vec<Duration> = trace.iter().map(|ev| ev.at).collect();
-    let mut out = Outcome::default();
-    let mut frames: Vec<(usize, Vec<u8>)> = Vec::new();
-    let mut received = 0usize;
-    let start = Instant::now();
-    let account = |frames: &mut Vec<(usize, Vec<u8>)>, out: &mut Outcome, received: &mut usize| {
-        for (_, body) in frames.drain(..) {
-            if lmpeel_serve::frontend::is_goaway(&body) {
-                continue;
-            }
-            let Ok(resp) = WireResponse::decode(&body) else {
-                out.failed += 1;
-                *received += 1;
-                continue;
-            };
-            let scheduled = start + arrivals[resp.id as usize];
-            let ms = Instant::now()
-                .saturating_duration_since(scheduled)
-                .as_secs_f64()
-                * 1e3;
-            match resp.body {
-                WireResult::Ok { .. } => out.ok_latencies_ms.push(ms),
-                WireResult::Err { code, .. } if code == SHED_QUEUE_FULL => out.shed += 1,
-                WireResult::Err { code, .. } if code == lmpeel_serve::frontend::CODE_DEADLINE => {
-                    out.deadline += 1;
-                }
-                WireResult::Err { .. } => out.failed += 1,
-            }
-            *received += 1;
-        }
-    };
-
-    for (i, ev) in trace.iter().enumerate() {
-        // Pump the swarm while waiting out the pacing gap.
-        loop {
-            let due = start + ev.at;
-            if Instant::now() >= due {
-                break;
-            }
-            if !swarm.pump(&mut frames) {
-                std::thread::sleep(Duration::from_micros(200));
-            }
-            account(&mut frames, &mut out, &mut received);
-        }
-        let mut wire = WireRequest::new(
-            i as u64,
-            "default",
-            prompts[ev.group].clone(),
-            p.gen_tokens as u32,
-        );
-        wire.seed = ev.seed;
-        wire.wall_ms = match ev.class {
-            DeadlineClass::Tight => Some(slo.as_millis() as u64),
-            DeadlineClass::Loose => Some((slo * 4).as_millis() as u64),
-            DeadlineClass::Unbounded => None,
-        };
-        swarm.queue(i % swarm.len(), &wire.encode());
-    }
-    // Drain: every request frame is answered exactly once, unless its
-    // connection died under it.
-    while received < n && swarm.open_count() > 0 {
-        if !swarm.pump(&mut frames) {
-            std::thread::sleep(Duration::from_micros(200));
-        }
-        account(&mut frames, &mut out, &mut received);
-    }
-    out.failed += (n - received) as u64;
-    out.elapsed = start.elapsed();
-    swarm.shutdown();
-    out
+fn report_line(run: &Run, label: &str, slo: Duration) -> String {
+    format!(
+        "{label}: ok={} shed={} deadline={} failed={} p50={:.1}ms p99={:.1}ms \
+         p999={:.1}ms goodput={:.1}/s",
+        run.ok.len(),
+        run.shed,
+        run.deadline,
+        run.failed + run.lost,
+        percentile_ms(run, 0.50),
+        percentile_ms(run, 0.99),
+        percentile_ms(run, 0.999),
+        run.goodput(slo)
+    )
 }
 
 fn build_single(p: &Params) -> InferenceService {
@@ -510,10 +346,16 @@ fn main() {
     );
 
     let trace = synth_trace(&p, rate);
+    let arrivals: Vec<Duration> = trace.iter().map(|ev| ev.at).collect();
+    let replay_inproc = |service: &dyn LmService| {
+        openloop::in_process(service, &arrivals, slo, |i| {
+            build_request(&p, &prompts, &trace[i], slo)
+        })
+    };
 
     let single = build_single(&p);
     warm_service(&single, &p, &prompts);
-    let single_out = replay_inproc(&single, &p, &prompts, &trace, slo);
+    let single_out = replay_inproc(&single);
     drop(single);
 
     let sharded = build_sharded(&p);
@@ -522,16 +364,13 @@ fn main() {
         "tcp" => {
             let connections = arg_flag("--connections", 1);
             let service: Arc<dyn LmService> = Arc::new(sharded);
-            let frontend =
-                Frontend::bind(Arc::clone(&service), "127.0.0.1:0").expect("bind frontend");
-            let out = replay_tcp(
-                frontend.local_addr(),
-                &p,
-                &prompts,
-                &trace,
-                slo,
-                connections,
-            );
+            let frontend = Frontend::builder()
+                .bind(Arc::clone(&service), "127.0.0.1:0")
+                .expect("bind frontend");
+            let out = openloop::wire(frontend.local_addr(), connections, &arrivals, slo, |i| {
+                wire_request(&p, &prompts, &trace[i], slo)
+            })
+            .expect("connect loadgen swarm");
             let fe_stats = frontend.shutdown();
             eprintln!(
                 "frontend: {} responses over {} connections, {} shed, mean served \
@@ -546,7 +385,7 @@ fn main() {
             out
         }
         _ => {
-            let out = replay_inproc(&sharded, &p, &prompts, &trace, slo);
+            let out = replay_inproc(&sharded);
             let per_shard: Vec<String> = sharded
                 .shard_stats()
                 .iter()
@@ -585,11 +424,11 @@ fn main() {
         slo.as_secs_f64() * 1e3
     )
     .unwrap();
-    writeln!(report, "{}", single_out.report_line("single-shard ", slo)).unwrap();
+    writeln!(report, "{}", report_line(&single_out, "single-shard ", slo)).unwrap();
     writeln!(
         report,
         "{}",
-        sharded_out.report_line(&format!("sharded x{:<2}  ", p.shards), slo)
+        report_line(&sharded_out, &format!("sharded x{:<2}  ", p.shards), slo)
     )
     .unwrap();
     writeln!(report, "goodput ratio: {ratio:.2}x (target >= 3x)").unwrap();

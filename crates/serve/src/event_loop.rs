@@ -51,7 +51,7 @@ fn arrival_clock() -> Instant {
     Instant::now()
 }
 
-/// Event-loop knobs, resolved by `FrontendBuilder`.
+/// Event-loop knobs, held and set by `FrontendBuilder`.
 #[derive(Debug, Clone)]
 pub(crate) struct FeConfig {
     pub conn_inflight_cap: usize,

@@ -39,7 +39,7 @@ use crate::request::{Deadline, GenerateRequest, GenerateResponse, RequestError};
 use crate::service::LmService;
 use crate::sync::RankedMutex;
 use lmpeel_tokenizer::TokenId;
-use std::io::{self, Read, Write};
+use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
@@ -101,9 +101,10 @@ pub fn goaway_frame_body() -> Vec<u8> {
 }
 
 /// True when `body` is a GOAWAY drain announcement.
-/// [`FrontendClient::recv`] consumes these internally and exposes them
-/// via [`FrontendClient::saw_goaway`]; hand-rolled clients should treat
-/// one as "finish reading, then reconnect elsewhere".
+/// [`WireSwarm::recv`](crate::WireSwarm::recv) skips these and records
+/// them for [`WireSwarm::saw_goaway`](crate::WireSwarm::saw_goaway);
+/// other clients should treat one as "finish reading, then reconnect
+/// elsewhere".
 pub fn is_goaway(body: &[u8]) -> bool {
     body == [OP_GOAWAY]
 }
@@ -601,30 +602,6 @@ impl<'a> Cursor<'a> {
     }
 }
 
-/// Write one length-prefixed frame.
-pub fn write_frame(w: &mut impl Write, body: &[u8]) -> io::Result<()> {
-    w.write_all(&(body.len() as u32).to_le_bytes())?;
-    w.write_all(body)?;
-    w.flush()
-}
-
-/// Read one length-prefixed frame. `Err` on EOF mid-frame, oversize
-/// declarations, or transport errors.
-pub fn read_frame(r: &mut impl Read) -> io::Result<Vec<u8>> {
-    let mut len_bytes = [0u8; 4];
-    r.read_exact(&mut len_bytes)?;
-    let len = u32::from_le_bytes(len_bytes) as usize;
-    if len > MAX_FRAME_LEN {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            WireError::Oversize(len).to_string(),
-        ));
-    }
-    let mut body = vec![0u8; len];
-    r.read_exact(&mut body)?;
-    Ok(body)
-}
-
 /// Incremental frame reassembly over an arbitrarily chunked byte stream.
 ///
 /// The event loop feeds whatever the nonblocking socket produced —
@@ -801,32 +778,28 @@ pub struct FrontendStats {
 #[derive(Debug, Clone)]
 pub struct FrontendBuilder {
     loops: usize,
-    conn_inflight_cap: usize,
-    ext_inflight_cap: usize,
     ext_workers: usize,
     ext_queue_cap: usize,
-    write_buf_cap: usize,
-    idle_ticks: u64,
-    mid_frame_ticks: u64,
-    drain_ticks: u64,
-    drain_linger_ticks: u64,
-    tick_interval: Duration,
+    /// The knobs every event loop runs with.
+    cfg: FeConfig,
 }
 
 impl Default for FrontendBuilder {
     fn default() -> Self {
         Self {
             loops: 4,
-            conn_inflight_cap: 64,
-            ext_inflight_cap: 4,
             ext_workers: 2,
             ext_queue_cap: 64,
-            write_buf_cap: 1 << 20,
-            idle_ticks: 600_000,
-            mid_frame_ticks: 30_000,
-            drain_ticks: 60_000,
-            drain_linger_ticks: 64,
-            tick_interval: Duration::from_micros(200),
+            cfg: FeConfig {
+                conn_inflight_cap: 64,
+                ext_inflight_cap: 4,
+                write_buf_cap: 1 << 20,
+                idle_ticks: 600_000,
+                mid_frame_ticks: 30_000,
+                drain_ticks: 60_000,
+                drain_linger_ticks: 64,
+                tick_interval: Duration::from_micros(200),
+            },
         }
     }
 }
@@ -844,14 +817,14 @@ impl FrontendBuilder {
     /// Per-connection cap on in-flight generation requests; excess
     /// pipelined requests are shed with [`SHED_CONN_INFLIGHT`].
     pub fn conn_inflight_cap(mut self, n: usize) -> Self {
-        self.conn_inflight_cap = n.max(1);
+        self.cfg.conn_inflight_cap = n.max(1);
         self
     }
 
     /// Per-connection cap on in-flight extension requests; excess are
     /// shed with a [`CODE_EXT_FAILED`] response.
     pub fn ext_inflight_cap(mut self, n: usize) -> Self {
-        self.ext_inflight_cap = n.max(1);
+        self.cfg.ext_inflight_cap = n.max(1);
         self
     }
 
@@ -875,14 +848,14 @@ impl FrontendBuilder {
     /// alone (slow-reader defense) — its backpressure never blocks the
     /// loop or other connections.
     pub fn write_buf_cap(mut self, bytes: usize) -> Self {
-        self.write_buf_cap = bytes.max(4096);
+        self.cfg.write_buf_cap = bytes.max(4096);
         self
     }
 
     /// Idle deadline in ticks: a connection with no read activity and
     /// nothing in flight for this many loop ticks is reaped.
     pub fn idle_ticks(mut self, ticks: u64) -> Self {
-        self.idle_ticks = ticks.max(1);
+        self.cfg.idle_ticks = ticks.max(1);
         self
     }
 
@@ -890,14 +863,14 @@ impl FrontendBuilder {
     /// (length prefix without its body) with no read progress for this
     /// many ticks is reaped — a stalled sender cannot pin the loop.
     pub fn mid_frame_ticks(mut self, ticks: u64) -> Self {
-        self.mid_frame_ticks = ticks.max(1);
+        self.cfg.mid_frame_ticks = ticks.max(1);
         self
     }
 
     /// Drain budget in ticks: [`Frontend::shutdown`] force-closes
     /// connections still open this many ticks after the GOAWAY.
     pub fn drain_ticks(mut self, ticks: u64) -> Self {
-        self.drain_ticks = ticks.max(1);
+        self.cfg.drain_ticks = ticks.max(1);
         self
     }
 
@@ -905,7 +878,7 @@ impl FrontendBuilder {
     /// it closes — long enough for bytes already in the kernel socket
     /// buffer to be read and answered.
     pub fn drain_linger_ticks(mut self, ticks: u64) -> Self {
-        self.drain_linger_ticks = ticks.max(1);
+        self.cfg.drain_linger_ticks = ticks.max(1);
         self
     }
 
@@ -913,17 +886,21 @@ impl FrontendBuilder {
     /// (the logical tick clock's idle period). Deadline knobs are
     /// counted in ticks, not wall time: under load ticks run faster.
     pub fn tick_interval(mut self, interval: Duration) -> Self {
-        self.tick_interval = interval.max(Duration::from_micros(10));
+        self.cfg.tick_interval = interval.max(Duration::from_micros(10));
         self
     }
 
-    /// Bind `addr` and start serving `service` with this configuration.
+    /// Bind `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port) and start
+    /// serving `service` with this configuration. Extension frames are
+    /// answered with [`CODE_EXT_FAILED`]; use
+    /// [`FrontendBuilder::bind_with_extension`] to serve them.
     pub fn bind(self, service: Arc<dyn LmService>, addr: &str) -> io::Result<Frontend> {
         Frontend::bind_with(service, addr, None, self)
     }
 
     /// [`FrontendBuilder::bind`] with an [`ExtensionHandler`] answering
-    /// extension frames from the worker pool.
+    /// extension frames ([`ExtRequest`]) from the worker pool, alongside
+    /// generation traffic.
     pub fn bind_with_extension(
         self,
         service: Arc<dyn LmService>,
@@ -932,28 +909,15 @@ impl FrontendBuilder {
     ) -> io::Result<Frontend> {
         Frontend::bind_with(service, addr, Some(extension), self)
     }
-
-    fn config(&self) -> FeConfig {
-        FeConfig {
-            conn_inflight_cap: self.conn_inflight_cap,
-            ext_inflight_cap: self.ext_inflight_cap,
-            write_buf_cap: self.write_buf_cap,
-            idle_ticks: self.idle_ticks,
-            mid_frame_ticks: self.mid_frame_ticks,
-            drain_ticks: self.drain_ticks,
-            drain_linger_ticks: self.drain_linger_ticks,
-            tick_interval: self.tick_interval,
-        }
-    }
 }
 
 /// A TCP front-end serving one [`LmService`] from a fixed thread budget.
 ///
-/// Bind on an ephemeral port, connect with [`FrontendClient`] (or any
-/// implementation of the frame protocol), and [`Frontend::shutdown`] when
-/// done — the service itself stays owned by the caller and outlives the
-/// front-end. Shutdown drains gracefully: every live connection gets a
-/// GOAWAY frame, in-flight responses deliver, then connections close.
+/// Bind on an ephemeral port, connect with a [`crate::WireSwarm`] (or
+/// any implementation of the frame protocol), and [`Frontend::shutdown`]
+/// when done — the service itself stays owned by the caller and outlives
+/// the front-end. Shutdown drains gracefully: every live connection gets
+/// a GOAWAY frame, in-flight responses deliver, then connections close.
 pub struct Frontend {
     local_addr: SocketAddr,
     /// Raised first at shutdown: the acceptor empties the backlog and exits.
@@ -976,25 +940,6 @@ impl Frontend {
         FrontendBuilder::default()
     }
 
-    /// Bind `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port) with
-    /// default configuration. Extension frames are answered with
-    /// [`CODE_EXT_FAILED`]; use [`Frontend::bind_with_extension`] to
-    /// serve them.
-    pub fn bind(service: Arc<dyn LmService>, addr: &str) -> io::Result<Frontend> {
-        Self::bind_with(service, addr, None, FrontendBuilder::default())
-    }
-
-    /// [`Frontend::bind`] with an [`ExtensionHandler`] answering the
-    /// extension request kind ([`ExtRequest`]) alongside generation
-    /// traffic.
-    pub fn bind_with_extension(
-        service: Arc<dyn LmService>,
-        addr: &str,
-        extension: Arc<dyn ExtensionHandler>,
-    ) -> io::Result<Frontend> {
-        Self::bind_with(service, addr, Some(extension), FrontendBuilder::default())
-    }
-
     fn bind_with(
         service: Arc<dyn LmService>,
         addr: &str,
@@ -1008,7 +953,6 @@ impl Frontend {
         let (wake, wake_peer) = mpsc::channel();
         let counters = Arc::new(FeCounters::new());
         let conn_count = Arc::new(AtomicUsize::new(0));
-        let cfg = builder.config();
 
         // Bounded extension pool, only when a handler is bound.
         let (ext_queue, ext_workers) = match extension {
@@ -1040,7 +984,7 @@ impl Frontend {
                     ext_queue: ext_queue.clone(),
                     drain: Arc::clone(&drain),
                     conn_count: Arc::clone(&conn_count),
-                    cfg: cfg.clone(),
+                    cfg: builder.cfg.clone(),
                 };
                 std::thread::spawn(move || event_loop::run_event_loop(ctx))
             })
@@ -1205,159 +1149,33 @@ impl Drop for Frontend {
     }
 }
 
-/// SplitMix64: the same tiny deterministic mixer the scheduler's breaker
-/// uses for cooldown jitter, here seeding per-client reconnect jitter.
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Capped exponential backoff for [`FrontendClient::connect_with_backoff`]:
-/// attempt `k` waits `min(base·2^k, cap)` plus deterministic per-client
-/// jitter (splitmix64 of `seed ^ k`, bounded by a quarter of the delay) —
-/// the same jitter discipline as the scheduler's circuit breaker, so a
-/// fleet of clients reconnecting after a front-end restart de-synchronizes
-/// reproducibly instead of thundering in lockstep.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReconnectPolicy {
-    /// Total connect attempts (the first one is immediate).
-    pub attempts: u32,
-    /// Backoff before the second attempt.
-    pub base: Duration,
-    /// Upper bound on the exponential delay (before jitter).
-    pub cap: Duration,
-    /// Per-client jitter seed (derive from a client id for fleet spread).
-    pub seed: u64,
-}
-
-impl Default for ReconnectPolicy {
-    fn default() -> Self {
-        Self {
-            attempts: 6,
-            base: Duration::from_millis(10),
-            cap: Duration::from_millis(640),
-            seed: 0,
-        }
-    }
-}
-
-impl ReconnectPolicy {
-    /// The deterministic sleep schedule between attempts
-    /// (`attempts - 1` entries). Pure: same policy, same schedule.
-    pub fn backoff_delays(&self) -> Vec<Duration> {
-        (0..self.attempts.saturating_sub(1))
-            .map(|k| {
-                let exp = self.base.saturating_mul(1u32 << k.min(20));
-                let capped = exp.min(self.cap);
-                let micros = capped.as_micros() as u64;
-                let jitter = splitmix64(self.seed ^ u64::from(k)) % (micros / 4 + 1);
-                capped + Duration::from_micros(jitter)
-            })
-            .collect()
-    }
-}
-
-/// Blocking client for the frame protocol. Pipelining-friendly: `send`
-/// and `recv` are independent, and [`FrontendClient::try_clone`] lets a
-/// sender thread and a receiver thread share one connection. GOAWAY
-/// drain frames are consumed internally and surfaced through
-/// [`FrontendClient::saw_goaway`].
-pub struct FrontendClient {
-    stream: TcpStream,
-    goaway: Arc<AtomicBool>,
-}
-
-impl FrontendClient {
-    /// Connect to a bound [`Frontend`].
-    pub fn connect(addr: SocketAddr) -> io::Result<Self> {
-        Ok(Self {
-            stream: TcpStream::connect(addr)?,
-            goaway: Arc::new(AtomicBool::new(false)),
-        })
-    }
-
-    /// Connect, retrying per `policy` with capped exponential backoff
-    /// and deterministic jitter. Returns the last error once the attempt
-    /// budget is spent.
-    pub fn connect_with_backoff(addr: SocketAddr, policy: ReconnectPolicy) -> io::Result<Self> {
-        let delays = policy.backoff_delays();
-        let mut last_err = None;
-        for attempt in 0..policy.attempts.max(1) {
-            match Self::connect(addr) {
-                Ok(client) => return Ok(client),
-                Err(e) => last_err = Some(e),
-            }
-            if let Some(delay) = delays.get(attempt as usize) {
-                std::thread::sleep(*delay);
-            }
-        }
-        Err(last_err
-            .unwrap_or_else(|| io::Error::new(io::ErrorKind::NotConnected, "no connect attempts")))
-    }
-
-    /// True once a GOAWAY drain frame has been observed on this
-    /// connection (shared across [`FrontendClient::try_clone`] halves):
-    /// the server will answer what is in flight, then close.
-    pub fn saw_goaway(&self) -> bool {
-        self.goaway.load(Ordering::SeqCst)
-    }
-
-    /// Send one request frame (does not wait for the response).
-    pub fn send(&mut self, request: &WireRequest) -> io::Result<()> {
-        write_frame(&mut self.stream, &request.encode())
-    }
-
-    /// Block until the next response frame arrives (responses are in
-    /// completion order; match [`WireResponse::id`] to your requests).
-    pub fn recv(&mut self) -> io::Result<WireResponse> {
-        let body = self.next_frame()?;
-        WireResponse::decode(&body)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
-    }
-
-    /// Send one extension request frame (does not wait for the response).
-    pub fn send_ext(&mut self, request: &ExtRequest) -> io::Result<()> {
-        write_frame(&mut self.stream, &request.encode())
-    }
-
-    /// Block until the next extension response frame arrives. Only valid
-    /// on a connection carrying pure extension traffic; on a mixed
-    /// connection an interleaved generation response fails the decode.
-    pub fn recv_ext(&mut self) -> io::Result<ExtResponse> {
-        let body = self.next_frame()?;
-        ExtResponse::decode(&body)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
-    }
-
-    /// Next non-GOAWAY frame body (GOAWAYs set the flag and are skipped).
-    fn next_frame(&mut self) -> io::Result<Vec<u8>> {
-        loop {
-            let body = read_frame(&mut self.stream)?;
-            if is_goaway(&body) {
-                self.goaway.store(true, Ordering::SeqCst);
-                continue;
-            }
-            return Ok(body);
-        }
-    }
-
-    /// Clone the connection (shared socket, independent position is not a
-    /// concern: frames are atomic writes and reads happen on one half).
-    pub fn try_clone(&self) -> io::Result<Self> {
-        Ok(Self {
-            stream: self.stream.try_clone()?,
-            goaway: Arc::clone(&self.goaway),
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::service::InferenceService;
+    use crate::WireSwarm;
     use lmpeel_lm::{generate, GenerateSpec, InductionLm, LanguageModel};
+
+    /// One blocking client connection to `frontend`.
+    fn connect(frontend: &Frontend) -> WireSwarm {
+        WireSwarm::connect(frontend.local_addr(), 1).unwrap()
+    }
+
+    /// The next generation response on `client`'s connection.
+    fn recv(client: &mut WireSwarm) -> io::Result<WireResponse> {
+        let body = client.recv(0)?;
+        Ok(WireResponse::decode(&body).unwrap())
+    }
+
+    /// Send one extension request on `client`'s connection.
+    fn send_ext(client: &mut WireSwarm, id: u64, kind: u32, payload: Vec<u8>) {
+        client.send(0, &ExtRequest { id, kind, payload }.encode()).unwrap();
+    }
+
+    /// The next extension response on `client`'s connection.
+    fn recv_ext(client: &mut WireSwarm) -> ExtResponse {
+        ExtResponse::decode(&client.recv(0).unwrap()).unwrap()
+    }
 
     #[test]
     fn request_roundtrip_with_and_without_optionals() {
@@ -1402,16 +1220,6 @@ mod tests {
         let truncated = &good[..good.len() - 4];
         assert!(WireRequest::decode(truncated).is_err());
         assert_eq!(WireResponse::decode(&[1]), Err(WireError::BadOpcode(1)));
-    }
-
-    #[test]
-    fn frame_io_roundtrips_and_caps_length() {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, b"hello").unwrap();
-        let body = read_frame(&mut &buf[..]).unwrap();
-        assert_eq!(body, b"hello");
-        let huge = ((MAX_FRAME_LEN + 1) as u32).to_le_bytes();
-        assert!(read_frame(&mut &huge[..]).is_err());
     }
 
     #[test]
@@ -1517,32 +1325,6 @@ mod tests {
     }
 
     #[test]
-    fn backoff_delays_are_deterministic_capped_and_jittered() {
-        let policy = ReconnectPolicy {
-            attempts: 6,
-            base: Duration::from_millis(10),
-            cap: Duration::from_millis(40),
-            seed: 7,
-        };
-        let delays = policy.backoff_delays();
-        assert_eq!(delays.len(), 5);
-        // Same policy, same schedule (pure function of the seed).
-        assert_eq!(delays, policy.backoff_delays());
-        // A different client seed de-synchronizes the schedule.
-        let other = ReconnectPolicy { seed: 8, ..policy };
-        assert_ne!(delays, other.backoff_delays());
-        // Each delay is its exponential base plus at most 25% jitter.
-        for (k, d) in delays.iter().enumerate() {
-            let exp = Duration::from_millis(10 * (1 << k)).min(Duration::from_millis(40));
-            assert!(*d >= exp, "delay {k} below base: {d:?}");
-            assert!(
-                *d <= exp + exp.mul_f64(0.25) + Duration::from_micros(1),
-                "delay {k} over-jittered: {d:?}"
-            );
-        }
-    }
-
-    #[test]
     fn extension_requests_reach_the_handler_and_interleave_with_generation() {
         struct Doubler;
         impl ExtensionHandler for Doubler {
@@ -1561,33 +1343,22 @@ mod tests {
                 .build(),
         );
         let frontend =
-            Frontend::bind_with_extension(Arc::clone(&service), "127.0.0.1:0", Arc::new(Doubler))
-                .unwrap();
+            Frontend::builder()
+            .bind_with_extension(Arc::clone(&service), "127.0.0.1:0", Arc::new(Doubler))
+            .unwrap();
         // Extension traffic on its own connection...
-        let mut ext_client = FrontendClient::connect(frontend.local_addr()).unwrap();
-        ext_client
-            .send_ext(&ExtRequest {
-                id: 5,
-                kind: 1,
-                payload: vec![1, 2, 3],
-            })
-            .unwrap();
-        ext_client
-            .send_ext(&ExtRequest {
-                id: 6,
-                kind: 99,
-                payload: vec![],
-            })
-            .unwrap();
+        let mut ext_client = connect(&frontend);
+        send_ext(&mut ext_client, 5, 1, vec![1, 2, 3]);
+        send_ext(&mut ext_client, 6, 99, vec![]);
         // ...while generation traffic flows on another.
-        let mut lm_client = FrontendClient::connect(frontend.local_addr()).unwrap();
+        let mut lm_client = connect(&frontend);
         lm_client
-            .send(&WireRequest::new(1, "default", prompt, 3))
+            .send(0, &WireRequest::new(1, "default", prompt, 3).encode())
             .unwrap();
-        assert!(matches!(lm_client.recv().unwrap().body, WireResult::Ok { .. }));
+        assert!(matches!(recv(&mut lm_client).unwrap().body, WireResult::Ok { .. }));
         let mut got = std::collections::BTreeMap::new();
         for _ in 0..2 {
-            let resp = ext_client.recv_ext().unwrap();
+            let resp = recv_ext(&mut ext_client);
             got.insert(resp.id, resp.result);
         }
         assert_eq!(got[&5], Ok(vec![2, 4, 6]));
@@ -1603,16 +1374,10 @@ mod tests {
         let service: Arc<dyn LmService> = Arc::new(
             InferenceService::builder().model("default", model).build(),
         );
-        let frontend = Frontend::bind(Arc::clone(&service), "127.0.0.1:0").unwrap();
-        let mut client = FrontendClient::connect(frontend.local_addr()).unwrap();
-        client
-            .send_ext(&ExtRequest {
-                id: 9,
-                kind: 3,
-                payload: vec![1],
-            })
-            .unwrap();
-        let resp = client.recv_ext().unwrap();
+        let frontend = Frontend::builder().bind(Arc::clone(&service), "127.0.0.1:0").unwrap();
+        let mut client = connect(&frontend);
+        send_ext(&mut client, 9, 3, vec![1]);
+        let resp = recv_ext(&mut client);
         assert_eq!(resp.id, 9);
         let msg = resp.result.unwrap_err();
         assert!(msg.contains("no extension handler"), "got {msg:?}");
@@ -1635,17 +1400,12 @@ mod tests {
             InferenceService::builder().model("default", model).build(),
         );
         let frontend =
-            Frontend::bind_with_extension(Arc::clone(&service), "127.0.0.1:0", Arc::new(Bomb))
-                .unwrap();
-        let mut client = FrontendClient::connect(frontend.local_addr()).unwrap();
-        client
-            .send_ext(&ExtRequest {
-                id: 1,
-                kind: 0,
-                payload: vec![],
-            })
+            Frontend::builder()
+            .bind_with_extension(Arc::clone(&service), "127.0.0.1:0", Arc::new(Bomb))
             .unwrap();
-        let resp = client.recv_ext().unwrap();
+        let mut client = connect(&frontend);
+        send_ext(&mut client, 1, 0, vec![]);
+        let resp = recv_ext(&mut client);
         std::panic::set_hook(prev);
         assert!(resp.result.unwrap_err().contains("panicked"));
         frontend.shutdown();
@@ -1662,23 +1422,23 @@ mod tests {
                 .model("default", model.clone())
                 .build(),
         );
-        let frontend = Frontend::bind(Arc::clone(&service), "127.0.0.1:0").unwrap();
-        let mut client = FrontendClient::connect(frontend.local_addr()).unwrap();
+        let frontend = Frontend::builder().bind(Arc::clone(&service), "127.0.0.1:0").unwrap();
+        let mut client = connect(&frontend);
 
         // Pipeline three requests (two valid, one bad substrate) before
         // reading anything back.
         for id in 0..2u64 {
             let mut req = WireRequest::new(id, "default", prompt.clone(), 5);
             req.seed = id;
-            client.send(&req).unwrap();
+            client.send(0, &req.encode()).unwrap();
         }
         client
-            .send(&WireRequest::new(2, "nope", prompt.clone(), 5))
+            .send(0, &WireRequest::new(2, "nope", prompt.clone(), 5).encode())
             .unwrap();
 
         let mut got = std::collections::BTreeMap::new();
         for _ in 0..3 {
-            let resp = client.recv().unwrap();
+            let resp = recv(&mut client).unwrap();
             got.insert(resp.id, resp.body);
         }
         for id in 0..2u64 {
@@ -1721,16 +1481,16 @@ mod tests {
             .tick_interval(Duration::from_micros(100))
             .bind(Arc::clone(&service), "127.0.0.1:0")
             .unwrap();
-        let mut client = FrontendClient::connect(frontend.local_addr()).unwrap();
+        let mut client = connect(&frontend);
         for id in 0..4u64 {
             client
-                .send(&WireRequest::new(id, "default", prompt.clone(), 2))
+                .send(0, &WireRequest::new(id, "default", prompt.clone(), 2).encode())
                 .unwrap();
         }
         // Requests 2 and 3 exceed the cap while 0 and 1 hang at the gate.
         let mut shed_ids = Vec::new();
         for _ in 0..2 {
-            let resp = client.recv().unwrap();
+            let resp = recv(&mut client).unwrap();
             match resp.body {
                 WireResult::Err { code, ref message } => {
                     assert_eq!(code, SHED_CONN_INFLIGHT, "{message}");
@@ -1743,7 +1503,7 @@ mod tests {
         assert_eq!(shed_ids, vec![2, 3]);
         gate.open();
         for _ in 0..2 {
-            let resp = client.recv().unwrap();
+            let resp = recv(&mut client).unwrap();
             assert!(matches!(resp.body, WireResult::Ok { .. }), "id {}", resp.id);
         }
         let stats = frontend.shutdown();
@@ -1786,21 +1546,15 @@ mod tests {
                 }),
             )
             .unwrap();
-        let mut client = FrontendClient::connect(frontend.local_addr()).unwrap();
+        let mut client = connect(&frontend);
         for id in 0..3u64 {
-            client
-                .send_ext(&ExtRequest {
-                    id,
-                    kind: 1,
-                    payload: vec![id as u8],
-                })
-                .unwrap();
+            send_ext(&mut client, id, 1, vec![id as u8]);
         }
         // Requests 1 and 2 exceed the per-connection ext cap while 0
         // blocks the (single-worker) pool.
         let mut sheds = 0;
         for _ in 0..2 {
-            let resp = client.recv_ext().unwrap();
+            let resp = recv_ext(&mut client);
             let msg = resp.result.unwrap_err();
             assert!(msg.contains("shed"), "got {msg:?}");
             sheds += 1;
@@ -1811,7 +1565,7 @@ mod tests {
             *state.lock() = true;
             cv.notify_all();
         }
-        let resp = client.recv_ext().unwrap();
+        let resp = recv_ext(&mut client);
         assert_eq!(resp.id, 0);
         assert_eq!(resp.result, Ok(vec![0]));
         let stats = frontend.shutdown();
@@ -1831,17 +1585,17 @@ mod tests {
             .bind(Arc::clone(&service), "127.0.0.1:0")
             .unwrap();
         assert!(frontend.thread_count() <= 8);
-        let mut client = FrontendClient::connect(frontend.local_addr()).unwrap();
+        let mut client = connect(&frontend);
         for id in 0..3u64 {
             client
-                .send(&WireRequest::new(id, "default", prompt.clone(), 3))
+                .send(0, &WireRequest::new(id, "default", prompt.clone(), 3).encode())
                 .unwrap();
         }
         let drainer = std::thread::spawn(move || frontend.shutdown());
         // Every submitted request resolves: a real response if it was
         // admitted before the drain began, CODE_SHUTDOWN otherwise.
         let mut got = 0;
-        while let Ok(resp) = client.recv() {
+        while let Ok(resp) = recv(&mut client) {
             match resp.body {
                 WireResult::Ok { .. } => {}
                 WireResult::Err { code, ref message } => {
@@ -1851,7 +1605,7 @@ mod tests {
             got += 1;
         }
         assert_eq!(got, 3, "drain delivered every in-flight response");
-        assert!(client.saw_goaway(), "drain announced itself with GOAWAY");
+        assert!(client.saw_goaway(0), "drain announced itself with GOAWAY");
         let stats = drainer.join().unwrap();
         assert_eq!(stats.responses, 3);
     }
@@ -1880,10 +1634,10 @@ mod tests {
                 .drain_linger_ticks(64)
                 .bind(Arc::clone(&service), "127.0.0.1:0")
                 .unwrap();
-            let mut client = FrontendClient::connect(frontend.local_addr()).unwrap();
+            let mut client = connect(&frontend);
             for id in 0..3u64 {
                 client
-                    .send(&WireRequest::new(id, "default", prompt.clone(), 2))
+                    .send(0, &WireRequest::new(id, "default", prompt.clone(), 2).encode())
                     .unwrap();
             }
             for _ in 0..iteration % 7 {
@@ -1896,7 +1650,7 @@ mod tests {
                 std::thread::spawn(move || stats)
             };
             let mut resolved = std::collections::BTreeSet::new();
-            while let Ok(resp) = client.recv() {
+            while let Ok(resp) = recv(&mut client) {
                 if let WireResult::Err { code, ref message } = resp.body {
                     assert_eq!(code, CODE_SHUTDOWN, "iteration {iteration}: {message}");
                 }
@@ -1911,7 +1665,7 @@ mod tests {
                 3,
                 "iteration {iteration}: a request went unanswered"
             );
-            assert!(client.saw_goaway(), "iteration {iteration}: no GOAWAY");
+            assert!(client.saw_goaway(0), "iteration {iteration}: no GOAWAY");
             let stats = drainer.join().unwrap();
             assert_eq!(
                 stats.accepted, 1,

@@ -48,6 +48,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod client;
 mod event_loop;
 #[cfg(any(test, feature = "fault-inject"))]
 pub mod faults;
@@ -61,9 +62,10 @@ mod shard;
 pub mod sync;
 mod trie;
 
+pub use client::WireSwarm;
 pub use frontend::{
     ExtRequest, ExtResponse, ExtensionHandler, FrameAssembler, Frontend, FrontendBuilder,
-    FrontendClient, FrontendStats, LatencyHistogram, ReconnectPolicy,
+    FrontendStats, LatencyHistogram,
 };
 pub use request::{
     BackpressurePolicy, Deadline, GenerateRequest, GenerateRequestBuilder, GenerateResponse,

@@ -3,7 +3,7 @@
 //! Compiled only for this crate's own tests and under the `fault-inject`
 //! feature, mirroring [`crate::faults`] one layer up the stack: where
 //! `FaultyLm` injects substrate failures beneath the scheduler, a
-//! [`FaultProxy`] sits *between* a [`crate::frontend::FrontendClient`]
+//! [`FaultProxy`] sits *between* a client ([`crate::WireSwarm`])
 //! and a [`crate::frontend::Frontend`] and injects transport failures —
 //! torn frames (connection severed mid-frame), byte-dribbling (frames
 //! delivered one byte at a time), mid-response stalls, and resets.

@@ -3,22 +3,18 @@
 //! Covers the connection-fault surface that doesn't need a fault proxy:
 //! frame reassembly under arbitrary TCP segmentation (property test),
 //! the mid-frame read deadline (a stalled sender is reaped without
-//! pinning its loop), the slow-reader write-buffer cap, the bounded
-//! connection registry, and client reconnect backoff. The proxy-driven
-//! network-fault properties live in `tests/net_faults.rs` behind the
-//! `fault-inject` feature.
+//! pinning its loop), the slow-reader write-buffer cap, and the bounded
+//! connection registry. The proxy-driven network-fault properties live
+//! in `tests/net_faults.rs` behind the `fault-inject` feature.
 
 use lmpeel_lm::{InductionLm, LanguageModel};
-use lmpeel_serve::frontend::{FrameAssembler, WireRequest, WireResult};
-use lmpeel_serve::{
-    ExtRequest, ExtensionHandler, Frontend, FrontendClient, InferenceService, LmService,
-    ReconnectPolicy,
-};
+use lmpeel_serve::frontend::{FrameAssembler, WireRequest, WireResponse, WireResult};
+use lmpeel_serve::{ExtRequest, ExtensionHandler, Frontend, InferenceService, LmService, WireSwarm};
 use proptest::prelude::*;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// A service over the deterministic induction model, as every test here
 /// wants one.
@@ -30,6 +26,16 @@ fn service() -> (Arc<InductionLm>, Arc<dyn LmService>) {
             .build(),
     );
     (model, service)
+}
+
+/// A fresh connection to `frontend` gets `request` answered
+/// successfully; the connection is returned still open.
+fn assert_served(frontend: &Frontend, request: WireRequest) -> WireSwarm {
+    let mut client = WireSwarm::connect(frontend.local_addr(), 1).unwrap();
+    client.send(0, &request.encode()).unwrap();
+    let resp = WireResponse::decode(&client.recv(0).unwrap()).unwrap();
+    assert!(matches!(resp.body, WireResult::Ok { .. }));
+    client
 }
 
 /// Spin until `cond` holds or the budget elapses; panics with `what` on
@@ -129,11 +135,7 @@ fn a_stalled_mid_frame_sender_is_reaped_by_the_read_deadline() {
     staller.flush().unwrap();
 
     // A healthy connection on the same loop is still served.
-    let mut healthy = FrontendClient::connect(frontend.local_addr()).unwrap();
-    healthy
-        .send(&WireRequest::new(1, "default", prompt, 3))
-        .unwrap();
-    assert!(matches!(healthy.recv().unwrap().body, WireResult::Ok { .. }));
+    let _healthy = assert_served(&frontend, WireRequest::new(1, "default", prompt, 3));
 
     // The staller is reaped: its socket reports EOF/reset and the
     // deadline counter records the disconnect.
@@ -227,80 +229,22 @@ fn a_slow_reader_is_disconnected_once_its_write_buffer_fills() {
         .unwrap();
 
     // The slow reader requests 8 MiB of responses and never reads.
-    let mut slow = FrontendClient::connect(frontend.local_addr()).unwrap();
+    let mut slow = WireSwarm::connect(frontend.local_addr(), 1).unwrap();
     for id in 0..16u64 {
-        slow.send_ext(&ExtRequest {
+        let request = ExtRequest {
             id,
             kind: 0,
             payload: vec![],
-        })
-        .unwrap();
+        };
+        slow.send(0, &request.encode()).unwrap();
     }
     wait_for("slow-reader disconnect", || {
         frontend.stats().disconnected_slow >= 1
     });
 
     // The loop it was pinned to keeps serving a healthy connection.
-    let mut healthy = FrontendClient::connect(frontend.local_addr()).unwrap();
-    healthy
-        .send(&WireRequest::new(99, "default", prompt, 3))
-        .unwrap();
-    assert!(matches!(healthy.recv().unwrap().body, WireResult::Ok { .. }));
+    let _healthy = assert_served(&frontend, WireRequest::new(99, "default", prompt, 3));
 
     let stats = frontend.shutdown();
     assert_eq!(stats.disconnected_slow, 1);
-}
-
-/// `connect_with_backoff` retries on the deterministic jittered schedule:
-/// against a dead port it spends at least the scheduled delays before
-/// giving up, and it succeeds once the front-end comes up mid-schedule.
-#[test]
-fn reconnect_backoff_retries_until_the_frontend_binds() {
-    let policy = ReconnectPolicy {
-        attempts: 5,
-        base: Duration::from_millis(2),
-        cap: Duration::from_millis(16),
-        seed: 42,
-    };
-    let floor: Duration = policy.backoff_delays().iter().sum();
-
-    // Reserve an ephemeral port, then free it so nothing listens there.
-    let addr = {
-        let probe = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        probe.local_addr().unwrap()
-    };
-
-    // Exhausting the schedule against the dead port fails, and takes at
-    // least the sum of the (deterministic) backoff delays.
-    let started = Instant::now();
-    assert!(FrontendClient::connect_with_backoff(addr, policy).is_err());
-    assert!(
-        started.elapsed() >= floor,
-        "gave up after {:?}, schedule floor is {:?}",
-        started.elapsed(),
-        floor
-    );
-
-    // Bind the front-end on that port shortly after the client starts
-    // dialing: an early attempt fails, a later one lands.
-    let (model, service) = service();
-    let prompt = model.tokenizer().encode("Performance: ");
-    let binder = std::thread::spawn(move || {
-        std::thread::sleep(Duration::from_millis(5));
-        Frontend::bind(service, &addr.to_string()).unwrap()
-    });
-    let mut client = FrontendClient::connect_with_backoff(
-        addr,
-        ReconnectPolicy {
-            attempts: 200,
-            ..policy
-        },
-    )
-    .unwrap();
-    let frontend = binder.join().unwrap();
-    client
-        .send(&WireRequest::new(1, "default", prompt, 3))
-        .unwrap();
-    assert!(matches!(client.recv().unwrap().body, WireResult::Ok { .. }));
-    frontend.shutdown();
 }

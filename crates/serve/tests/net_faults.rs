@@ -1,7 +1,7 @@
 //! Network fault-injection property suite (requires `--features
 //! fault-inject`).
 //!
-//! A [`FaultProxy`] sits between [`FrontendClient`]s and the front-end
+//! A [`FaultProxy`] sits between [`WireSwarm`] clients and the front-end
 //! and misbehaves per connection: torn frames (severed mid-frame),
 //! byte-dribbling, one-time mid-response stalls, and resets. Healthy
 //! and faulted connections share the proxy and the front-end's event
@@ -16,14 +16,19 @@
 //!    (`TearAfter` / `ResetAfter`);
 //! 3. the front-end's ledger reconciles: the latency histogram counts
 //!    exactly the `responses` counter, nothing was shed, and the
-//!    front-end still serves a fresh direct connection afterwards.
+//!    front-end still serves a fresh direct connection afterwards;
+//! 4. a shutdown issued anywhere in a send schedule — before any loop
+//!    has adopted the connections, between two sends, or after the last
+//!    — resolves each request exactly once: every request sent before
+//!    the shutdown is answered once, a later one is answered at most
+//!    once, and every connection sees GOAWAY.
 
 #![cfg(feature = "fault-inject")]
 
 use lmpeel_lm::{InductionLm, LanguageModel};
-use lmpeel_serve::frontend::{WireRequest, WireResponse};
+use lmpeel_serve::frontend::{WireRequest, WireResponse, WireResult, CODE_SHUTDOWN};
 use lmpeel_serve::netfault::{FaultProxy, NetFault};
-use lmpeel_serve::{Frontend, FrontendClient, InferenceService, LmService};
+use lmpeel_serve::{BackpressurePolicy, Frontend, InferenceService, LmService, WireSwarm};
 use lmpeel_tokenizer::TokenId;
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
@@ -74,22 +79,22 @@ fn drive_conn(addr: std::net::SocketAddr, conn: u64, prompt: &[TokenId]) -> Conn
         received: Vec::new(),
         disconnected: false,
     };
-    let Ok(mut client) = FrontendClient::connect(addr) else {
+    let Ok(mut client) = WireSwarm::connect(addr, 1) else {
         outcome.disconnected = true;
         return outcome;
     };
     for r in 0..REQS_PER_CONN {
         let mut req = WireRequest::new(conn * 1000 + r, "default", prompt.to_vec(), 3);
         req.seed = r;
-        if client.send(&req).is_err() {
+        if client.send(0, &req.encode()).is_err() {
             outcome.disconnected = true;
             return outcome;
         }
     }
     while (outcome.received.len() as u64) < REQS_PER_CONN {
-        match client.recv() {
-            Ok(resp) => outcome.received.push((resp.id, resp.encode())),
-            Err(_) => {
+        match client.recv(0).map(|body| (WireResponse::decode(&body), body)) {
+            Ok((Ok(resp), body)) => outcome.received.push((resp.id, body)),
+            _ => {
                 outcome.disconnected = true;
                 break;
             }
@@ -211,13 +216,81 @@ proptest! {
 
         // The front-end survived the faults: a fresh direct connection
         // still gets baseline bytes.
-        let mut probe = FrontendClient::connect(frontend.local_addr()).unwrap();
+        let mut probe = WireSwarm::connect(frontend.local_addr(), 1).unwrap();
         let mut req = WireRequest::new(0, "default", prompt.clone(), 3);
         req.seed = 0;
-        probe.send(&req).unwrap();
-        let resp: WireResponse = probe.recv().unwrap();
-        prop_assert_eq!(&resp.encode(), baseline.get(&0).unwrap());
+        probe.send(0, &req.encode()).unwrap();
+        prop_assert_eq!(&probe.recv(0).unwrap(), baseline.get(&0).unwrap());
 
         frontend.shutdown();
+    }
+
+    // Shutdown at a random point of the send schedule. Every connection
+    // is in the kernel's accept queue before the first send, so a cut
+    // at 0 shuts down before any loop has adopted them. The shutdown
+    // either runs on a drainer thread while the sends continue, or
+    // completes on this thread before the rest go out.
+    #[test]
+    fn shutdown_anywhere_in_the_send_schedule_resolves_each_request_once(
+        conns in 1usize..4,
+        per_conn in 1usize..4,
+        cut_code in 0usize..100,
+        inline in proptest::bool::ANY,
+    ) {
+        let model = Arc::new(InductionLm::paper(0));
+        let prompt = model.tokenizer().encode("Performance: ");
+        let service: Arc<dyn LmService> = Arc::new(
+            InferenceService::builder()
+                .model("default", model)
+                .backpressure(BackpressurePolicy::Reject)
+                .build(),
+        );
+        let frontend = Frontend::builder()
+            .loops(2)
+            .tick_interval(Duration::from_micros(100))
+            .drain_linger_ticks(64)
+            .bind(Arc::clone(&service), "127.0.0.1:0")
+            .unwrap();
+        let total = conns * per_conn;
+        let cut = cut_code % (total + 1);
+        let mut swarm = WireSwarm::connect(frontend.local_addr(), conns).unwrap();
+        let mut send = |id: usize| {
+            let req = WireRequest::new(id as u64, "default", prompt.clone(), 2);
+            swarm.send(id % conns, &req.encode())
+        };
+        for id in 0..cut {
+            prop_assert!(send(id).is_ok(), "send {} failed before shutdown", id);
+        }
+        let drainer = if inline {
+            let stats = frontend.shutdown();
+            std::thread::spawn(move || stats)
+        } else {
+            std::thread::spawn(move || frontend.shutdown())
+        };
+        for id in cut..total {
+            // After shutdown the connection may already be closed.
+            let _ = send(id);
+        }
+
+        // Read every connection until the server closes it.
+        let mut answered = BTreeSet::new();
+        for conn in 0..conns {
+            while let Ok(body) = swarm.recv(conn) {
+                let resp = WireResponse::decode(&body).unwrap();
+                let id = resp.id as usize;
+                prop_assert!(id < total && id % conns == conn, "unsolicited id {} on {}", id, conn);
+                prop_assert!(answered.insert(id), "id {} answered twice", id);
+                if let WireResult::Err { code, message } = resp.body {
+                    prop_assert_eq!(code, CODE_SHUTDOWN, "id {}: {}", id, message);
+                }
+            }
+            prop_assert!(swarm.saw_goaway(conn), "connection {} saw no GOAWAY", conn);
+        }
+        for id in 0..cut {
+            prop_assert!(answered.contains(&id), "request {} sent before shutdown unanswered", id);
+        }
+        let stats = drainer.join().unwrap();
+        prop_assert_eq!(stats.accepted, conns as u64);
+        prop_assert_eq!(stats.responses, answered.len() as u64);
     }
 }

@@ -5,8 +5,9 @@
 //! [`TuneWireRequest`] payload in, a [`TuneWireResponse`] payload out,
 //! both through the same byte-exact [`wire`] codec the journals use.
 //! [`TuneService`] implements [`ExtensionHandler`] directly, so binding a
-//! front-end with `Frontend::bind_with_extension(service, tune_service,
-//! addr)` serves generation traffic and tune requests over one socket.
+//! front-end with `Frontend::builder().bind_with_extension(service, addr,
+//! tune_service)` serves generation traffic and tune requests over one
+//! socket.
 
 use crate::{TuneError, TuneRequest, TuneService};
 use lmpeel_core::journal::{size_from_ordinal, size_ordinal};
@@ -161,7 +162,7 @@ mod tests {
     use super::*;
     use crate::KERNEL_SYR2K;
     use lmpeel_lm::InductionLm;
-    use lmpeel_serve::{ExtRequest, Frontend, FrontendClient, InferenceService, LmService};
+    use lmpeel_serve::{ExtRequest, ExtResponse, Frontend, InferenceService, LmService, WireSwarm};
     use std::sync::Arc;
 
     fn tmp(name: &str) -> std::path::PathBuf {
@@ -200,20 +201,23 @@ mod tests {
                 .model("default", Arc::new(InductionLm::paper(0)))
                 .build(),
         );
-        let frontend =
-            Frontend::bind_with_extension(lm, "127.0.0.1:0", Arc::new(tune)).unwrap();
+        let frontend = Frontend::builder()
+            .bind_with_extension(lm, "127.0.0.1:0", Arc::new(tune))
+            .unwrap();
         let addr = frontend.local_addr();
 
-        let mut client = FrontendClient::connect(addr).unwrap();
+        let mut client = WireSwarm::connect(addr, 1).unwrap();
         let req = TuneWireRequest {
             kernel: KERNEL_SYR2K.into(),
             size_ord: 0, // ArraySize::S — keeps the kernel validation quick
             budget: 5,
             seed: 3,
         };
-        let ext = |id: u64, kind: u32, payload: Vec<u8>| ExtRequest { id, kind, payload };
-        client.send_ext(&ext(1, TUNE_EXT_KIND, req.encode())).unwrap();
-        let first = client.recv_ext().unwrap();
+        let mut call = |id: u64, kind: u32, payload: Vec<u8>| {
+            client.send(0, &ExtRequest { id, kind, payload }.encode()).unwrap();
+            ExtResponse::decode(&client.recv(0).unwrap()).unwrap()
+        };
+        let first = call(1, TUNE_EXT_KIND, req.encode());
         assert_eq!(first.id, 1);
         let first = TuneWireResponse::decode(&first.result.expect("tune ok")).unwrap();
         assert!(!first.cache_hit);
@@ -221,18 +225,15 @@ mod tests {
         assert!(first.validated);
 
         // Same request again: answered from the persistent cache.
-        client.send_ext(&ext(2, TUNE_EXT_KIND, req.encode())).unwrap();
-        let second = client.recv_ext().unwrap();
+        let second = call(2, TUNE_EXT_KIND, req.encode());
         let second = TuneWireResponse::decode(&second.result.expect("tune ok")).unwrap();
         assert!(second.cache_hit);
         assert_eq!(second.fresh_measurements, 0);
         assert_eq!(second.config_index, first.config_index);
 
         // Unknown kinds and malformed payloads error without wedging.
-        client.send_ext(&ext(3, 999, req.encode())).unwrap();
-        assert!(client.recv_ext().unwrap().result.is_err());
-        client.send_ext(&ext(4, TUNE_EXT_KIND, b"garbage".to_vec())).unwrap();
-        assert!(client.recv_ext().unwrap().result.is_err());
+        assert!(call(3, 999, req.encode()).result.is_err());
+        assert!(call(4, TUNE_EXT_KIND, b"garbage".to_vec()).result.is_err());
 
         drop(client);
         frontend.shutdown();

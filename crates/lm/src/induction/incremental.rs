@@ -19,12 +19,14 @@
 //!   current context tail obeys `m'(t) = tokens[t-1] == x ? min(1 + m(t-1),
 //!   max_match) : 0` when `x` is appended, so the sparse set of nonzero
 //!   match lengths is rebuilt from an occurrence index in O(#occurrences of
-//!   x) per append. The map is keyed by position in a [`BTreeMap`] so vote
-//!   accumulation runs in the batch path's ascending-position order.
+//!   x) per append. The set is a position-sorted list, rebuilt by one
+//!   merge walk of the old list against `x`'s ascending occurrences, so
+//!   vote accumulation runs in the batch path's ascending-position order.
 //!
-//! `logits()` then assembles votes from the sparse match set and hands them
-//! to the same `finish_logits` tail the batch path uses: priors, smearing,
-//! drift, background and jitter are shared code, not a reimplementation.
+//! `logits()` then hands the sparse match set to the vote weighing the
+//! batch path uses (one per-block weight table per call), and the votes to
+//! the same `finish_logits` tail: priors, smearing, drift, background and
+//! jitter are shared code, not a reimplementation.
 //!
 //! The session's logit jitter is keyed by a session-owned seed initialised
 //! from the model's. [`DecodeSession::rekey`] swaps that seed, which is
@@ -71,10 +73,11 @@ pub struct InductionLmSession {
     blocks: Vec<BlockState>,
     /// token -> ascending positions at which it occurs.
     occ: BTreeMap<TokenId, Vec<usize>>,
-    /// position `t` -> current suffix-match length `m(t) >= 1`: the number
-    /// of trailing context tokens that match the tokens before `t`, capped
-    /// at `max_match`. Positions absent from the map have `m(t) = 0`.
-    match_len: BTreeMap<usize, usize>,
+    /// `(t, m(t))` for every position `t` with a nonzero suffix-match
+    /// length, ascending by `t`: `m(t)` is the number of trailing context
+    /// tokens that match the tokens before `t`, capped at `max_match`.
+    /// Positions absent from the list have `m(t) = 0`.
+    match_len: Vec<(usize, usize)>,
 }
 
 impl InductionLmSession {
@@ -87,7 +90,7 @@ impl InductionLmSession {
             seed,
             blocks: Vec::new(),
             occ: BTreeMap::new(),
-            match_len: BTreeMap::new(),
+            match_len: Vec::new(),
         }
     }
 
@@ -113,50 +116,16 @@ impl InductionLmSession {
             .collect()
     }
 
-    /// The induction votes for the current context, mirroring the batch
-    /// `InductionLm::induction_votes` term for term — same weights, same
-    /// short-match fallback, same ascending-position accumulation order —
-    /// but walking only the sparse nonzero-match set.
+    /// The induction votes for the current context: the batch path's
+    /// shared vote weighing, fed the sparse nonzero-match set instead of a
+    /// scan of every position.
     fn assemble_votes(&self) -> (BTreeMap<TokenId, f64>, f64) {
-        let cfg = self.model.config();
-        let t_end = self.tokens.len();
-        let mut votes: BTreeMap<TokenId, f64> = BTreeMap::new();
-        let mut strength = 0.0f64;
-        if t_end < cfg.min_match + 1 {
-            return (votes, strength);
-        }
-        let sims = self.sims();
-        let query_block = self.blocks.len().checked_sub(1);
-        let best_sim = sims
-            .iter()
-            .take(sims.len().saturating_sub(1))
-            .cloned()
-            .fold(f64::NEG_INFINITY, f64::max);
-        let block_weight = |pos: usize| -> f64 {
-            match self.block_of(pos) {
-                Some(b) if Some(b) == query_block => cfg.self_block_discount,
-                Some(b) if best_sim.is_finite() => (cfg.sim_sharpness * (sims[b] - best_sim)).exp(),
-                Some(_) => 1.0,
-                None => cfg.non_block_weight,
-            }
-        };
-        let mut short_votes: BTreeMap<TokenId, f64> = BTreeMap::new();
-        let mut short_strength = 0.0f64;
-        for (&t, &k) in &self.match_len {
-            if k >= cfg.min_match {
-                let base = cfg.lambda.powi(k as i32);
-                *votes.entry(self.tokens[t]).or_insert(0.0) += base * block_weight(t);
-                strength += base;
-            } else {
-                let base = cfg.lambda;
-                *short_votes.entry(self.tokens[t]).or_insert(0.0) += base * block_weight(t);
-                short_strength += base;
-            }
-        }
-        if votes.is_empty() {
-            return (short_votes, short_strength);
-        }
-        (votes, strength)
+        self.model.vote(
+            &self.tokens,
+            self.match_len.iter().copied(),
+            &self.sims(),
+            |pos| self.block_of(pos),
+        )
     }
 }
 
@@ -171,13 +140,18 @@ impl DecodeSession for InductionLmSession {
         // Suffix matches: appending `x` zeroes every position not preceded
         // by `x` and extends every position that is, per the recurrence in
         // the module docs. `occ` does not yet contain `p`, so only genuine
-        // earlier positions contribute.
-        let mut next = BTreeMap::new();
+        // earlier positions contribute. Both `occ` and `match_len` ascend
+        // by position, so one merge walk finds each occurrence's previous
+        // match length.
+        let mut next = Vec::new();
         if let Some(positions) = self.occ.get(&token) {
             let max_match = self.model.config().max_match;
+            next.reserve_exact(positions.len());
+            let mut prev = self.match_len.iter().peekable();
             for &q in positions {
-                let prev = self.match_len.get(&q).copied().unwrap_or(0);
-                next.insert(q + 1, (prev + 1).min(max_match));
+                while prev.next_if(|&&(t, _)| t < q).is_some() {}
+                let m = prev.next_if(|&&(t, _)| t == q).map_or(0, |&(_, k)| k);
+                next.push((q + 1, (m + 1).min(max_match)));
             }
         }
         self.match_len = next;
@@ -356,30 +330,6 @@ mod tests {
         assert!(diff < 1e-6, "parent still keyed by its own seed");
     }
 
-    #[test]
-    fn match_lengths_follow_the_recurrence() {
-        let m = Arc::new(InductionLm::paper(0));
-        let tok = m.tokenizer();
-        let ids = tok.encode("80 64 80 64 80");
-        let mut s = InductionLmSession::new(m.clone());
-        for &t in &ids {
-            s.append(t);
-        }
-        // Batch ground truth: longest common suffix ending before t vs the
-        // full tail, capped.
-        let cfg = m.config();
-        for t in 1..ids.len() {
-            let mut k = 0usize;
-            while k < cfg.max_match && k < t {
-                if ids[t - 1 - k] != ids[ids.len() - 1 - k] {
-                    break;
-                }
-                k += 1;
-            }
-            assert_eq!(s.match_len.get(&t).copied().unwrap_or(0), k, "position {t}");
-        }
-    }
-
     mod equivalence_props {
         use super::*;
         use proptest::prelude::*;
@@ -416,6 +366,40 @@ mod tests {
 
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(48))]
+
+            #[test]
+            fn match_lengths_follow_the_recurrence(stream in arb_stream()) {
+                let m = Arc::new(InductionLm::paper(0));
+                let alpha = alphabet(&m);
+                let ids: Vec<TokenId> =
+                    stream.iter().map(|&i| alpha[i as usize % alpha.len()]).collect();
+                let cfg = m.config();
+                let mut s = InductionLmSession::new(m.clone());
+                for (n, &x) in ids.iter().enumerate() {
+                    s.append(x);
+                    let ctx = &ids[..=n];
+                    prop_assert!(
+                        s.match_len.windows(2).all(|w| w[0].0 < w[1].0),
+                        "prefix {}: match set not strictly ascending", n + 1
+                    );
+                    // Brute-force ground truth: the longest common suffix of
+                    // the tokens before `t` and the whole prefix, capped.
+                    for t in 1..ctx.len() {
+                        let mut k = 0usize;
+                        while k < cfg.max_match && k < t {
+                            if ctx[t - 1 - k] != ctx[ctx.len() - 1 - k] {
+                                break;
+                            }
+                            k += 1;
+                        }
+                        let got = s
+                            .match_len
+                            .binary_search_by_key(&t, |&(p, _)| p)
+                            .map_or(0, |i| s.match_len[i].1);
+                        prop_assert_eq!(got, k, "prefix {}, position {}", n + 1, t);
+                    }
+                }
+            }
 
             #[test]
             fn random_streams_agree_with_batch(stream in arb_stream(), seed in 0u64..8) {

@@ -42,7 +42,7 @@ pub mod prior;
 use crate::model::LanguageModel;
 use crate::session::DecodeSession;
 use blocks::{AnchorIds, ContextMap};
-use lmpeel_stats::rng::{hash_bytes, hash_to_unit};
+use lmpeel_stats::rng::{hash_bytes, hash_to_unit, PrefixHash};
 use lmpeel_tokenizer::{TokenId, Tokenizer, EOS};
 use prior::{MagnitudePrior, ValueState};
 use std::collections::BTreeMap;
@@ -268,14 +268,10 @@ impl InductionLm {
         self.anchors
     }
 
-    /// Suffix-match votes: for every position whose preceding tokens match
-    /// the context's trailing tokens for `k >= min_match`, the token at that
-    /// position receives weight `lambda^k * block_weight`.
-    /// Returns the similarity-weighted vote distribution plus the
-    /// *unweighted* total match strength. The distribution decides *what*
-    /// gets copied (similar examples count more); the unweighted total
-    /// decides *how strongly* the model copies at all — otherwise a sharper
-    /// similarity focus would also (wrongly) weaken format anchoring.
+    /// Batch suffix matches: every position `t` whose preceding tokens
+    /// match the context's trailing tokens for `k >= 1`, found by comparing
+    /// the tail against every earlier position, then weighed by
+    /// [`InductionLm::vote`].
     fn induction_votes(
         &self,
         context: &[TokenId],
@@ -283,33 +279,7 @@ impl InductionLm {
         sims: &[f64],
     ) -> (BTreeMap<TokenId, f64>, f64) {
         let t_end = context.len();
-        let mut votes: BTreeMap<TokenId, f64> = BTreeMap::new();
-        let mut strength = 0.0f64;
-        if t_end < self.cfg.min_match + 1 {
-            return (votes, strength);
-        }
-        let query_block = map.blocks.len().checked_sub(1);
-        // Normalize similarities against the best example block, so the
-        // most similar example always votes at full strength and the
-        // sharpness only controls how quickly *less* similar examples fade.
-        let best_sim = sims
-            .iter()
-            .take(sims.len().saturating_sub(1))
-            .cloned()
-            .fold(f64::NEG_INFINITY, f64::max);
-        let block_weight = |pos: usize| -> f64 {
-            match map.block_of(pos) {
-                Some(b) if Some(b) == query_block => self.cfg.self_block_discount,
-                Some(b) if best_sim.is_finite() => {
-                    (self.cfg.sim_sharpness * (sims[b] - best_sim)).exp()
-                }
-                Some(_) => 1.0,
-                None => self.cfg.non_block_weight,
-            }
-        };
-        let mut short_votes: BTreeMap<TokenId, f64> = BTreeMap::new();
-        let mut short_strength = 0.0f64;
-        for t in 1..t_end {
+        let matches = (1..t_end).filter_map(|t| {
             // Match context[t-k..t] against context[t_end-k..t_end].
             let mut k = 0usize;
             while k < self.cfg.max_match && k < t && k < t_end {
@@ -318,11 +288,45 @@ impl InductionLm {
                 }
                 k += 1;
             }
+            (k >= 1).then_some((t, k))
+        });
+        self.vote(context, matches, sims, |pos| map.block_of(pos))
+    }
+
+    /// Suffix-match votes, shared by the batch path and the incremental
+    /// session: for every match `(t, k)` (position-ascending, `k >= 1`)
+    /// with `k >= min_match`, the token at `t` receives weight
+    /// `lambda^k * block_weight`.
+    /// Returns the similarity-weighted vote distribution plus the
+    /// *unweighted* total match strength. The distribution decides *what*
+    /// gets copied (similar examples count more); the unweighted total
+    /// decides *how strongly* the model copies at all — otherwise a sharper
+    /// similarity focus would also (wrongly) weaken format anchoring.
+    fn vote(
+        &self,
+        context: &[TokenId],
+        matches: impl Iterator<Item = (usize, usize)>,
+        sims: &[f64],
+        block_of: impl Fn(usize) -> Option<usize>,
+    ) -> (BTreeMap<TokenId, f64>, f64) {
+        let mut votes: BTreeMap<TokenId, f64> = BTreeMap::new();
+        let mut strength = 0.0f64;
+        if context.len() < self.cfg.min_match + 1 {
+            return (votes, strength);
+        }
+        let weights = self.block_weights(sims);
+        let block_weight = |pos: usize| match block_of(pos) {
+            Some(b) => weights[b],
+            None => self.cfg.non_block_weight,
+        };
+        let mut short_votes: BTreeMap<TokenId, f64> = BTreeMap::new();
+        let mut short_strength = 0.0f64;
+        for (t, k) in matches {
             if k >= self.cfg.min_match {
                 let base = self.cfg.lambda.powi(k as i32);
                 *votes.entry(context[t]).or_insert(0.0) += base * block_weight(t);
                 strength += base;
-            } else if k >= 1 {
+            } else {
                 let base = self.cfg.lambda;
                 *short_votes.entry(context[t]).or_insert(0.0) += base * block_weight(t);
                 short_strength += base;
@@ -335,6 +339,33 @@ impl InductionLm {
             return (short_votes, short_strength);
         }
         (votes, strength)
+    }
+
+    /// Vote weight of each block, given its similarity to the query block
+    /// (the last one): the query itself is discounted, every example block
+    /// is weighted `exp(sharpness * (sim - best))`.
+    fn block_weights(&self, sims: &[f64]) -> Vec<f64> {
+        let query_block = sims.len().checked_sub(1);
+        // Normalize similarities against the best example block, so the
+        // most similar example always votes at full strength and the
+        // sharpness only controls how quickly *less* similar examples fade.
+        let best_sim = sims
+            .iter()
+            .take(sims.len().saturating_sub(1))
+            .cloned()
+            .fold(f64::NEG_INFINITY, f64::max);
+        sims.iter()
+            .enumerate()
+            .map(|(b, &sim)| {
+                if Some(b) == query_block {
+                    self.cfg.self_block_discount
+                } else if best_sim.is_finite() {
+                    (self.cfg.sim_sharpness * (sim - best_sim)).exp()
+                } else {
+                    1.0
+                }
+            })
+            .collect()
     }
 
     /// Numeric smearing of fraction votes over nearby 3-digit groups.
@@ -570,18 +601,15 @@ impl InductionLm {
         }
         // EOS is special but must stay reachable where assigned above.
 
-        // To logits with seed-keyed jitter (support never changes).
-        let t_len = context.len() as u64;
+        // To logits with seed-keyed jitter (support never changes). Entry
+        // `i`'s jitter hashes the key `(seed, context length, i)`.
+        let key = PrefixHash::new(seed, context.len() as u64);
         out.clear();
         out.extend(p.iter().enumerate().map(|(i, &prob)| {
             if prob <= 0.0 {
                 f32::NEG_INFINITY
             } else {
-                let mut key = [0u8; 24];
-                key[..8].copy_from_slice(&seed.to_le_bytes());
-                key[8..16].copy_from_slice(&t_len.to_le_bytes());
-                key[16..24].copy_from_slice(&(i as u64).to_le_bytes());
-                let u = hash_to_unit(hash_bytes(&key)) as f32;
+                let u = hash_to_unit(key.finish(i as u64)) as f32;
                 (prob.ln() as f32) + self.cfg.jitter_eps * (u - 0.5)
             }
         }));

@@ -375,7 +375,10 @@ impl ServiceBuilder {
     /// from the environment when it is set: `LMPEEL_SHARDS=N` overrides
     /// [`ServiceBuilder::shards`]. Callers opt into multi-core serving by
     /// switching `build()` to `build_service()` — every submit/wait call
-    /// site stays the same.
+    /// site stays the same. More shards spread only prompts that differ
+    /// within [`DEFAULT_PREFIX_WINDOW`] tokens: the paper grid's prompts
+    /// share their system instructions past that window, so they all land
+    /// on one shard whatever `LMPEEL_SHARDS` says.
     ///
     /// Shard count cannot change any request's bytes (traces are
     /// topology-independent, see [`LmService`]), so reading the

@@ -78,10 +78,12 @@ impl ShardRouter {
     }
 }
 
-/// Default routing window: long enough that distinct ICL prompt families
-/// (which differ inside their first example line) hash apart, short
-/// enough that one family's per-seed and per-query variants — which agree
-/// far beyond this — always colocate.
+/// Default routing window: short enough that one prompt family's
+/// per-seed and per-query variants, which agree far beyond it, always
+/// colocate. It does not separate the paper's ICL prompt families: every
+/// `PromptBuilder` prompt opens with the chat header and the same 88-token
+/// system instructions, so all of them agree on their first 64 tokens and
+/// route to one shard.
 pub const DEFAULT_PREFIX_WINDOW: usize = 64;
 
 #[cfg(test)]

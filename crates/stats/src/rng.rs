@@ -93,6 +93,35 @@ pub fn hash_bytes(bytes: &[u8]) -> u64 {
     h
 }
 
+/// [`hash_bytes`] of the 24-byte key `a ‖ b ‖ word` (little-endian `u64`s)
+/// with the `(a, b)` prefix folded once, so a caller hashing many trailing
+/// words under one prefix pays only for the last eight bytes each time.
+#[derive(Debug, Clone, Copy)]
+pub struct PrefixHash(u64);
+
+impl PrefixHash {
+    /// `FNV_PRIME^6`: six zero bytes fold into FNV-1a as six multiplies
+    /// (`h ^ 0 == h`), which is one multiply by the power.
+    const PRIME_POW6: u64 = FNV_PRIME.wrapping_pow(6);
+
+    /// Fold the 16-byte prefix `a ‖ b`.
+    pub fn new(a: u64, b: u64) -> Self {
+        Self(fnv1a_u64(fnv1a_u64(FNV_OFFSET, a), b))
+    }
+
+    /// `hash_bytes(a ‖ b ‖ word)`. Words below `2^16` have six zero high
+    /// bytes and take the short path.
+    pub fn finish(self, word: u64) -> u64 {
+        if word < 1 << 16 {
+            let h = (self.0 ^ (word & 0xff)).wrapping_mul(FNV_PRIME);
+            let h = (h ^ (word >> 8)).wrapping_mul(FNV_PRIME);
+            h.wrapping_mul(Self::PRIME_POW6)
+        } else {
+            fnv1a_u64(self.0, word)
+        }
+    }
+}
+
 /// Map a 64-bit hash to a uniform f64 in `[0, 1)`.
 pub fn hash_to_unit(h: u64) -> f64 {
     // Use the top 53 bits for a dyadic uniform in [0,1).
@@ -159,6 +188,40 @@ mod tests {
             }
             h
         });
+    }
+
+    mod prefix_hash_props {
+        use super::*;
+        use proptest::prelude::*;
+
+        fn key(a: u64, b: u64, word: u64) -> [u8; 24] {
+            let mut k = [0u8; 24];
+            k[..8].copy_from_slice(&a.to_le_bytes());
+            k[8..16].copy_from_slice(&b.to_le_bytes());
+            k[16..].copy_from_slice(&word.to_le_bytes());
+            k
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+
+            // `word` on both sides of the `2^16` short-path boundary, at
+            // the boundary itself and at the top of the range.
+            #[test]
+            fn prefix_hash_equals_hash_bytes_of_the_24_byte_key(
+                a in 0u64..=u64::MAX,
+                b in 0u64..=u64::MAX,
+                word in prop_oneof![
+                    0u64..1 << 16,
+                    (1u64 << 16)..=u64::MAX,
+                    Just((1u64 << 16) - 1),
+                    Just(1u64 << 16),
+                    Just(u64::MAX),
+                ],
+            ) {
+                prop_assert_eq!(PrefixHash::new(a, b).finish(word), hash_bytes(&key(a, b, word)));
+            }
+        }
     }
 
     #[test]

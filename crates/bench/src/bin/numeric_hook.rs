@@ -16,7 +16,6 @@ use lmpeel_lm::{generate, GenerateSpec, InductionLm, LanguageModel, Sampler};
 use lmpeel_perfdata::{icl_replicas, DatasetBundle};
 use lmpeel_stats::{r2_score, relative_error};
 use lmpeel_tokenizer::EOS;
-use rayon::prelude::*;
 
 fn main() {
     let bundle = DatasetBundle::paper();
@@ -39,10 +38,10 @@ fn main() {
             let sets = icl_replicas(dataset, count, replicas, 3);
             let builder = PromptBuilder::new(dataset.space().clone(), size);
             let results: Vec<(f64, f64, f64)> = sets
-                .par_iter()
+                .iter()
                 .flat_map(|set| {
                     seeds
-                        .par_iter()
+                        .iter()
                         .map(|&seed| {
                             let model = std::sync::Arc::new(InductionLm::paper(seed));
                             let tok = model.tokenizer();

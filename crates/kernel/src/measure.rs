@@ -101,8 +101,8 @@ impl Measurement {
 }
 
 /// Measure a workload. The closure's return value is folded into a black-box
-/// sink so the optimizer cannot elide the work; the sink is returned for
-/// checksum validation.
+/// sink so the optimizer cannot elide the work; the last result is returned
+/// so the caller can validate it.
 pub fn measure<T, F: FnMut() -> T>(spec: MeasureSpec, mut work: F) -> (Measurement, T) {
     for _ in 0..spec.warmups {
         std::hint::black_box(work());

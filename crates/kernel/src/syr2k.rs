@@ -152,11 +152,6 @@ impl Syr2kProblem {
         }
         c
     }
-
-    /// Checksum of a result matrix (stable diagnostic for sweeps).
-    pub fn checksum(c: &Matrix) -> f64 {
-        c.data().iter().sum()
-    }
 }
 
 #[cfg(test)]
@@ -254,23 +249,5 @@ mod tests {
             tile_inner: 1,
         };
         assert_close(&p.run_reference(), &p.run_configured(cfg));
-    }
-
-    #[test]
-    fn checksum_is_order_insensitive_diagnostic() {
-        let p = small();
-        let c1 = p.run_reference();
-        let cfg = Syr2kConfig {
-            pack_a: true,
-            pack_b: true,
-            interchange: true,
-            tile_outer: 4,
-            tile_middle: 4,
-            tile_inner: 4,
-        };
-        let c2 = p.run_configured(cfg);
-        let s1 = Syr2kProblem::checksum(&c1);
-        let s2 = Syr2kProblem::checksum(&c2);
-        assert!((s1 - s2).abs() / s1.abs() < 1e-12);
     }
 }

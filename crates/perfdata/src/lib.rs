@@ -24,7 +24,7 @@
 //! * a boosted-tree model can fit the data to the paper's Table I quality
 //!   band, but not perfectly (multiplicative noise bounds attainable R2).
 //!
-//! [`dataset`] materializes the full lattice (in parallel) and provides
+//! [`dataset`] materializes the full lattice and provides
 //! splits; [`splits`] builds the ICL replica structure of par. III-B.
 
 #![forbid(unsafe_code)]

@@ -32,7 +32,11 @@ fn spec(seed: u64) -> GenerateSpec {
 /// 2 substrates x 3 prompts x 4 seeds. (The vendored proptest has no tuple
 /// strategies.)
 fn unpack(code: usize) -> (&'static str, usize, u64) {
-    let substrate = if code % 2 == 0 { "transformer" } else { "induction" };
+    let substrate = if code.is_multiple_of(2) {
+        "transformer"
+    } else {
+        "induction"
+    };
     let prompt_idx = (code / 2) % 3;
     let seed = ((code / 6) % 4) as u64;
     (substrate, prompt_idx, seed)

@@ -1,7 +1,6 @@
 //! Causal scaled-dot-product attention.
 
 use lmpeel_tensor::{matrix::dot, softmax_in_place, Tensor2};
-use rayon::prelude::*;
 
 /// Causal attention: for each query row `p`, attend over key rows `0..=p`
 /// with scores `beta * <q_p, k_j>`, softmax-normalize, and mix value rows.
@@ -27,18 +26,9 @@ pub fn causal_attention(q: &Tensor2, k: &Tensor2, v: &Tensor2, beta: f32) -> Ten
     // Offset so query p aligns with key p when q is a suffix of the stream.
     let offset = k.rows() - q.rows();
 
-    if t == 1 {
-        // Single-query fast path (the per-step suffix query of incremental
-        // decoding): skip the parallel machinery, one row isn't worth a
-        // fork-join.
-        attend_row(out.row_mut(0), q.row(0), k, v, beta, offset);
-        return out;
+    for (p, out_row) in out.data_mut().chunks_mut(dv).enumerate() {
+        attend_row(out_row, q.row(p), k, v, beta, offset + p);
     }
-    // Write each output row in place — no per-row Vec collection.
-    out.data_mut()
-        .par_chunks_mut(dv)
-        .enumerate()
-        .for_each(|(p, out_row)| attend_row(out_row, q.row(p), k, v, beta, offset + p));
     out
 }
 
@@ -113,6 +103,17 @@ mod tests {
         let out = causal_attention(&q, &k, &v, 30.0);
         // keys 0 and 2 match equally; expect an even mix of v0 and v2.
         assert!((out.get(0, 0) - 2.0).abs() < 1e-3);
+
+        // A 1-row suffix query is bitwise the last row of a full causal
+        // pass over the same keys and values.
+        let keys = Tensor2::from_fn(5, 3, |i, j| ((i * 7 + j * 3) % 5) as f32 * 0.3 - 0.6);
+        let values = Tensor2::from_fn(5, 2, |i, j| ((i * 11 + j * 5) % 7) as f32 - 3.0);
+        let full = causal_attention(&keys, &keys, &values, 1.7);
+        let last = Tensor2::from_vec(1, 3, keys.row(4).to_vec());
+        let suffix = causal_attention(&last, &keys, &values, 1.7);
+        for (s, f) in suffix.row(0).iter().zip(full.row(4)) {
+            assert_eq!(s.to_bits(), f.to_bits());
+        }
     }
 
     #[test]

@@ -156,7 +156,7 @@ impl InductionTransformer {
         self.signatures.row(token as usize).to_vec()
     }
 
-    /// Unembed an output vector into full-vocabulary logits: one parallel
+    /// Unembed an output vector into full-vocabulary logits: one
     /// matrix–vector product against the signature table, then scale and
     /// floor. Shared by the batch forward pass and the incremental session.
     pub fn unembed(&self, s2: &[f32]) -> Vec<f32> {
